@@ -159,9 +159,9 @@ inline autocfd::codegen::SpmdRunResult run_par(
 }
 
 /// Stamps the build/run metadata block every sidecar carries:
-/// tools/bench_compare warns when two sidecars disagree on it, so a
-/// Debug-vs-Release (or cross-engine) comparison is flagged instead of
-/// read as a perf regression.
+/// tools/perf_sentinel refuses to gate a sidecar against a baseline
+/// that disagrees on it, so a Debug-vs-Release (or cross-engine)
+/// comparison is flagged instead of read as a perf regression.
 inline void record_metadata() {
   record("meta.schema_version", 1.0);
   record("meta.seed", 0.0);

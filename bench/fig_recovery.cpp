@@ -13,8 +13,8 @@
 //
 // Every number here is virtual-time deterministic per seed, so the
 // committed sidecar doubles as a regression oracle: CI re-runs this
-// binary and bench_compare flags any drift in elapsed time,
-// retransmit counts or recovery seconds.
+// binary and perf_sentinel flags any drift in elapsed time or any
+// identity bit dropping to 0.
 #include "bench_util.hpp"
 
 #include <string>

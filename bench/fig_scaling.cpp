@@ -7,8 +7,8 @@
 // virtual elapsed time, speedup, parallel efficiency, Karp-Flatt
 // serial fraction and communication share, plus the sweep-level
 // comm-bound/compute-bound verdict and its crossover scale. Virtual
-// times are deterministic, so CI gates the committed
-// BENCH_fig_scaling.json byte-for-byte tight (tools/bench_compare):
+// times are deterministic, so CI gates against the committed
+// BENCH_fig_scaling.json with tools/perf_sentinel at 10%:
 // any drift in partitioning, sync combining, the runtime's cost model,
 // or the observatory's own aggregation shows up as a diff here.
 #include "bench_util.hpp"

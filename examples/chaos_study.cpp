@@ -23,9 +23,11 @@
 #include "autocfd/core/pipeline.hpp"
 #include "autocfd/fault/fault.hpp"
 #include "autocfd/fortran/parser.hpp"
+#include "autocfd/obs/json_util.hpp"
 #include "autocfd/trace/recorder.hpp"
 
 using namespace autocfd;
+using obs::json_escape;
 
 namespace {
 
@@ -38,19 +40,6 @@ struct RunRecord {
   long long delayed = 0, dropped = 0, corrupted = 0;
   long long retransmits = 0, recovered = 0;
 };
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
 
 void write_report(const std::string& path,
                   const std::vector<RunRecord>& records, bool all_ok) {

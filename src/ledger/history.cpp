@@ -8,6 +8,7 @@
 #include <set>
 
 #include "autocfd/ledger/sentinel.hpp"
+#include "autocfd/obs/html_util.hpp"
 #include "autocfd/obs/json_util.hpp"
 
 namespace autocfd::ledger {
@@ -161,22 +162,9 @@ void write_json(const std::vector<GroupView>& groups, std::ostream& os) {
   os << "\n  ]\n}\n";
 }
 
-std::string html_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 void write_html(const std::vector<GroupView>& groups, std::ostream& os,
                 const HistoryOptions& options) {
+  using obs::html_escape;
   os << "<!DOCTYPE html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n"
         "<title>acfd run history</title>\n<style>\n"
         "body { font-family: sans-serif; margin: 2em; color: #222; }\n"

@@ -12,7 +12,7 @@
 // conventions (fixed key order, obs::json_number formatting), so one
 // record round-trips write -> read -> write byte-identically — the
 // property CI leans on to diff ledgers — and are read back with
-// plan::json_reader, the same reader the planner and sweep use.
+// obs::json_reader, the same reader the planner and sweep use.
 #pragma once
 
 #include <cstdint>

@@ -43,8 +43,8 @@ struct RunMeta {
 /// Wraps one bench sidecar (the flat BENCH_*.json maps) as a record.
 /// The sidecar's meta.build_type / meta.engine / meta.machine /
 /// meta.seed keys are lifted into the record's identity fields; every
-/// other key is preserved verbatim, so the sentinel gates exactly the
-/// keys bench_compare would.
+/// other key is preserved verbatim, and ledger::metric_direction
+/// decides which of them gate.
 [[nodiscard]] RunRecord record_from_sidecar(
     const std::string& input, const std::map<std::string, double>& numbers,
     const std::map<std::string, std::string>& strings);

@@ -4,10 +4,12 @@
 // (kind, input, engine, build_type, machine) group it forms a robust
 // baseline — median and MAD over the last K earlier records — for each
 // gating metric of the group's newest record, and flags the newest
-// value when it falls outside the direction-aware tolerance. Gating
-// metrics follow tools/bench_compare's key conventions: keys containing
-// "elapsed" are lower-better, keys containing "speedup" or "identical"
-// are higher-better, everything else is informational and never gates.
+// value when it falls outside the direction-aware tolerance.
+// metric_direction is the repository's one rule for which keys gate:
+// keys containing "elapsed" are lower-better, keys containing
+// "speedup" or "identical" are higher-better, everything else is
+// informational and never gates. A pair of bench sidecars is gated the
+// same way: a two-record ledger run with min_history = 1.
 //
 // The median+MAD baseline makes the gate robust to the odd outlier in
 // history (one slow CI run does not poison the baseline) while an
@@ -26,7 +28,7 @@ namespace autocfd::ledger {
 
 enum class Direction { LowerBetter, HigherBetter, Informational };
 
-/// bench_compare's key conventions: "elapsed" lower-better, "speedup"
+/// Which keys gate, and which way: "elapsed" lower-better, "speedup"
 /// and "identical" higher-better, everything else informational.
 [[nodiscard]] Direction metric_direction(const std::string& key);
 
@@ -74,6 +76,15 @@ struct SentinelReport {
 /// before it are its baseline.
 [[nodiscard]] SentinelReport run_sentinel(
     const std::vector<RunRecord>& records, const SentinelOptions& options = {});
+
+/// Guards a candidate record against gating on nothing: when no record
+/// before `records[index]` shares its group_key, but one of the same
+/// kind and input exists under another engine, build_type or machine,
+/// returns one "field: 'earlier' vs 'candidate'" entry per differing
+/// field (against the latest such record). Empty when the candidate
+/// has a comparable baseline or its input is new to the ledger.
+[[nodiscard]] std::vector<std::string> identity_mismatch(
+    const std::vector<RunRecord>& records, std::size_t index);
 
 /// Human-readable verdict table (one line per checked metric, loud
 /// REGRESSED lines first) and deterministic JSON for tooling.

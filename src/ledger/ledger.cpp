@@ -5,8 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "autocfd/obs/json_reader.hpp"
 #include "autocfd/obs/json_util.hpp"
-#include "autocfd/plan/json_reader.hpp"
 
 namespace autocfd::ledger {
 
@@ -66,9 +66,9 @@ namespace {
 /// Rebuilds a RunRecord from one parsed JSONL line. Returns nullopt
 /// with a one-line reason when the line cannot be a record of this
 /// schema version.
-std::optional<RunRecord> record_from_json(const plan::JsonValue& root,
+std::optional<RunRecord> record_from_json(const obs::JsonValue& root,
                                           std::string* why) {
-  if (root.kind != plan::JsonValue::Kind::Object) {
+  if (root.kind != obs::JsonValue::Kind::Object) {
     *why = "not a JSON object";
     return std::nullopt;
   }
@@ -83,7 +83,7 @@ std::optional<RunRecord> record_from_json(const plan::JsonValue& root,
   rec.kind = root.str_or("kind", "");
   rec.input = root.str_or("input", "");
   if (const auto* meta = root.find("meta");
-      meta != nullptr && meta->kind == plan::JsonValue::Kind::Object) {
+      meta != nullptr && meta->kind == obs::JsonValue::Kind::Object) {
     rec.source_fnv = meta->str_or("source_fnv", "");
     rec.build_type = meta->str_or("build_type", "");
     rec.engine = meta->str_or("engine", "");
@@ -94,17 +94,17 @@ std::optional<RunRecord> record_from_json(const plan::JsonValue& root,
     rec.nranks = static_cast<int>(meta->int_or("nranks", 0));
   }
   if (const auto* metrics = root.find("metrics");
-      metrics != nullptr && metrics->kind == plan::JsonValue::Kind::Object) {
+      metrics != nullptr && metrics->kind == obs::JsonValue::Kind::Object) {
     for (const auto& [key, value] : metrics->fields) {
-      if (value.kind == plan::JsonValue::Kind::Number) {
+      if (value.kind == obs::JsonValue::Kind::Number) {
         rec.metrics[key] = value.number;
       }
     }
   }
   if (const auto* attrs = root.find("attrs");
-      attrs != nullptr && attrs->kind == plan::JsonValue::Kind::Object) {
+      attrs != nullptr && attrs->kind == obs::JsonValue::Kind::Object) {
     for (const auto& [key, value] : attrs->fields) {
-      if (value.kind == plan::JsonValue::Kind::String) {
+      if (value.kind == obs::JsonValue::Kind::String) {
         rec.attrs[key] = value.string;
       }
     }
@@ -135,7 +135,7 @@ LedgerReadResult parse_ledger(std::string_view text,
                                 " (skipped)");
     };
     std::string parse_error;
-    const auto root = plan::parse_json(line, &parse_error);
+    const auto root = obs::parse_json(line, &parse_error);
     if (!root) {
       warn("unparseable line: " + parse_error);
       continue;

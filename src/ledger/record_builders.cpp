@@ -4,8 +4,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "autocfd/obs/json_reader.hpp"
 #include "autocfd/obs/obs.hpp"
-#include "autocfd/plan/json_reader.hpp"
 #include "autocfd/prof/report.hpp"
 
 namespace autocfd::ledger {
@@ -165,8 +165,8 @@ std::optional<RunRecord> record_from_sidecar_file(const std::string& path,
   text << in.rdbuf();
 
   std::string parse_error;
-  const auto doc = plan::parse_json(text.str(), &parse_error);
-  if (!doc || doc->kind != plan::JsonValue::Kind::Object) {
+  const auto doc = obs::parse_json(text.str(), &parse_error);
+  if (!doc || doc->kind != obs::JsonValue::Kind::Object) {
     if (error != nullptr) {
       *error = path + ": " +
                (parse_error.empty() ? "not a JSON object" : parse_error);
@@ -177,11 +177,11 @@ std::optional<RunRecord> record_from_sidecar_file(const std::string& path,
   std::map<std::string, double> numbers;
   std::map<std::string, std::string> strings;
   for (const auto& [key, value] : doc->fields) {
-    if (value.kind == plan::JsonValue::Kind::Number) {
+    if (value.kind == obs::JsonValue::Kind::Number) {
       numbers[key] = value.number;
-    } else if (value.kind == plan::JsonValue::Kind::String) {
+    } else if (value.kind == obs::JsonValue::Kind::String) {
       strings[key] = value.string;
-    } else if (value.kind == plan::JsonValue::Kind::Bool) {
+    } else if (value.kind == obs::JsonValue::Kind::Bool) {
       numbers[key] = value.boolean ? 1.0 : 0.0;
     }
     // Nested objects/arrays never appear in the flat sidecars; any

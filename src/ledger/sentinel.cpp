@@ -118,6 +118,31 @@ SentinelReport run_sentinel(const std::vector<RunRecord>& records,
   return report;
 }
 
+std::vector<std::string> identity_mismatch(
+    const std::vector<RunRecord>& records, std::size_t index) {
+  const RunRecord& candidate = records.at(index);
+  const RunRecord* other = nullptr;
+  for (std::size_t i = 0; i < index; ++i) {
+    const RunRecord& rec = records[i];
+    if (rec.kind != candidate.kind || rec.input != candidate.input) continue;
+    if (rec.group_key() == candidate.group_key()) return {};
+    other = &rec;
+  }
+  if (other == nullptr) return {};
+  std::vector<std::string> fields;
+  const auto differ = [&fields](const char* name, const std::string& was,
+                                const std::string& now) {
+    if (was != now) {
+      fields.push_back(std::string(name) + ": '" + was + "' vs '" + now +
+                       "'");
+    }
+  };
+  differ("engine", other->engine, candidate.engine);
+  differ("build_type", other->build_type, candidate.build_type);
+  differ("machine", other->machine, candidate.machine);
+  return fields;
+}
+
 void write_sentinel_text(const SentinelReport& report, std::ostream& os) {
   const auto n_regressed = report.regressions().size();
   for (const auto& f : report.findings) {

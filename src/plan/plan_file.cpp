@@ -3,13 +3,15 @@
 #include <fstream>
 #include <sstream>
 
+#include "autocfd/obs/json_reader.hpp"
 #include "autocfd/obs/json_util.hpp"
-#include "autocfd/plan/json_reader.hpp"
 
 namespace autocfd::plan {
 
 using obs::json_escape;
 using obs::json_number;
+using obs::JsonValue;
+using obs::parse_json;
 
 core::PlanOverrides PlanFile::to_overrides(std::string origin) const {
   core::PlanOverrides over;

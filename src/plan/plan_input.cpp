@@ -3,9 +3,12 @@
 #include <fstream>
 #include <sstream>
 
-#include "autocfd/plan/json_reader.hpp"
+#include "autocfd/obs/json_reader.hpp"
 
 namespace autocfd::plan {
+
+using obs::JsonValue;
+using obs::parse_json;
 
 double PlanInput::loop_time(int line) const {
   double total = 0.0;

@@ -4,12 +4,15 @@
 #include <cmath>
 #include <sstream>
 
+#include "autocfd/obs/html_util.hpp"
 #include "autocfd/obs/json_util.hpp"
 
 namespace autocfd::prof {
 
 namespace {
 
+using obs::html_bar;
+using obs::html_escape;
 using obs::json_escape;
 using obs::json_number;
 
@@ -380,35 +383,6 @@ void write_report_text(const RunReport& report, std::ostream& os) {
 
 // --------------------------------------------------------------- html
 
-namespace {
-
-std::string html_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    switch (ch) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += ch; break;
-    }
-  }
-  return out;
-}
-
-/// A horizontal bar scaled to `frac` of the column, as inline style.
-std::string bar(double frac, const char* color) {
-  std::ostringstream os;
-  os.precision(1);
-  os << "<div class=\"bar\" style=\"width:" << std::fixed
-     << std::max(0.0, std::min(frac, 1.0)) * 100.0 << "%;background:"
-     << color << "\"></div>";
-  return os.str();
-}
-
-}  // namespace
-
 void write_report_html(const RunReport& report, std::ostream& os) {
   os << "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n<title>"
      << html_escape(report.title) << " — run report</title>\n<style>\n"
@@ -448,7 +422,7 @@ void write_report_html(const RunReport& report, std::ostream& os) {
        << html_escape(e->loop_class)
        << (e->self_dependent ? " self-dep" : "") << "</td><td>"
        << fmt_seconds(e->time_s) << "</td><td>" << fmt_percent(e->share)
-       << "</td><td class=\"l cell\">" << bar(e->share, "#4a90d9")
+       << "</td><td class=\"l cell\">" << html_bar(e->share, "#4a90d9")
        << "</td><td>"
        << fmt_ratio(e->imbalance(report.profile.nranks)) << "</td></tr>\n";
   }
@@ -465,8 +439,10 @@ void write_report_html(const RunReport& report, std::ostream& os) {
     os << "<tr><td>" << r << "</td><td>" << fmt_seconds(b.compute)
        << "</td><td>" << fmt_seconds(b.transfer) << "</td><td>"
        << fmt_seconds(b.wait) << "</td><td>" << fmt_seconds(b.total())
-       << "</td><td class=\"l cell\">" << bar(b.compute * scale, "#4a90d9")
-       << bar(b.transfer * scale, "#e8a33d") << bar(b.wait * scale, "#d05050")
+       << "</td><td class=\"l cell\">"
+       << html_bar(b.compute * scale, "#4a90d9")
+       << html_bar(b.transfer * scale, "#e8a33d")
+       << html_bar(b.wait * scale, "#d05050")
        << "</td></tr>\n";
   }
   os << "</table>\n";

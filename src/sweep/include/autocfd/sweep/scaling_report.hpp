@@ -13,7 +13,7 @@
 // Serialized as versioned, deterministic JSON (fixed key order,
 // json_number formatting) so that write -> read -> write is
 // byte-identical and CI can diff sweeps, plus text and HTML renderings
-// with ASCII efficiency curves. Read back via plan::json_reader, the
+// with ASCII efficiency curves. Read back via obs::json_reader, the
 // same reader the planner uses for run reports.
 #pragma once
 

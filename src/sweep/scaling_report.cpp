@@ -5,11 +5,14 @@
 #include <iomanip>
 #include <sstream>
 
+#include "autocfd/obs/html_util.hpp"
+#include "autocfd/obs/json_reader.hpp"
 #include "autocfd/obs/json_util.hpp"
-#include "autocfd/plan/json_reader.hpp"
 
 namespace autocfd::sweep {
 
+using obs::html_bar;
+using obs::html_escape;
 using obs::json_escape;
 using obs::json_number;
 
@@ -113,12 +116,12 @@ std::string ScalingReport::json() const {
 
 std::optional<ScalingReport> ScalingReport::parse(std::string_view text,
                                                   std::string* error) {
-  const auto root = plan::parse_json(text, error);
+  const auto root = obs::parse_json(text, error);
   if (!root) {
     if (error != nullptr) *error = "scaling report: " + *error;
     return std::nullopt;
   }
-  if (root->kind != plan::JsonValue::Kind::Object) {
+  if (root->kind != obs::JsonValue::Kind::Object) {
     if (error != nullptr) {
       *error = "scaling report: top level is not an object";
     }
@@ -182,7 +185,7 @@ std::optional<ScalingReport> ScalingReport::parse(std::string_view text,
     trend.kind = t.str_or("kind", "");
     trend.label = t.str_or("label", "");
     for (const auto& v : t.list("shares")) {
-      if (v.kind == plan::JsonValue::Kind::Number) {
+      if (v.kind == obs::JsonValue::Kind::Number) {
         trend.shares.push_back(v.number);
       }
     }
@@ -366,34 +369,6 @@ void ScalingReport::write_text(std::ostream& os) const {
 }
 
 // --------------------------------------------------------------- html
-
-namespace {
-
-std::string html_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    switch (ch) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += ch; break;
-    }
-  }
-  return out;
-}
-
-std::string html_bar(double frac, const char* color) {
-  std::ostringstream os;
-  os.precision(1);
-  os << "<div class=\"bar\" style=\"width:" << std::fixed
-     << std::clamp(frac, 0.0, 1.0) * 100.0 << "%;background:" << color
-     << "\"></div>";
-  return os.str();
-}
-
-}  // namespace
 
 void ScalingReport::write_html(std::ostream& os) const {
   os << "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n<title>"

@@ -10,8 +10,8 @@
 #include "autocfd/fortran/parser.hpp"
 #include "autocfd/ledger/record_builders.hpp"
 #include "autocfd/mp/recovery.hpp"
+#include "autocfd/obs/json_reader.hpp"
 #include "autocfd/obs/json_util.hpp"
-#include "autocfd/plan/json_reader.hpp"
 #include "autocfd/plan/planner.hpp"
 #include "autocfd/trace/recorder.hpp"
 
@@ -21,12 +21,12 @@ namespace autocfd::sweep {
 
 std::optional<SweepSpec> SweepSpec::parse(std::string_view text,
                                           std::string* error) {
-  const auto root = plan::parse_json(text, error);
+  const auto root = obs::parse_json(text, error);
   if (!root) {
     if (error != nullptr) *error = "sweep spec: " + *error;
     return std::nullopt;
   }
-  if (root->kind != plan::JsonValue::Kind::Object) {
+  if (root->kind != obs::JsonValue::Kind::Object) {
     if (error != nullptr) *error = "sweep spec: top level is not an object";
     return std::nullopt;
   }
@@ -48,7 +48,7 @@ std::optional<SweepSpec> SweepSpec::parse(std::string_view text,
   spec.title = root->str_or("title", "");
   spec.ranks.clear();
   for (const auto& v : root->list("ranks")) {
-    if (v.kind != plan::JsonValue::Kind::Number) continue;
+    if (v.kind != obs::JsonValue::Kind::Number) continue;
     spec.ranks.push_back(static_cast<int>(v.number));
   }
   if (spec.ranks.empty()) {
@@ -67,7 +67,7 @@ std::optional<SweepSpec> SweepSpec::parse(std::string_view text,
     }
   }
   if (const auto* parts = root->find("partitions");
-      parts != nullptr && parts->kind == plan::JsonValue::Kind::Object) {
+      parts != nullptr && parts->kind == obs::JsonValue::Kind::Object) {
     for (const auto& [key, value] : parts->fields) {
       int nranks = 0;
       try {
@@ -81,7 +81,7 @@ std::optional<SweepSpec> SweepSpec::parse(std::string_view text,
       }
       auto& shapes = spec.partitions[nranks];
       for (const auto& shape : value.items) {
-        if (shape.kind == plan::JsonValue::Kind::String) {
+        if (shape.kind == obs::JsonValue::Kind::String) {
           shapes.push_back(shape.string);
         }
       }
@@ -90,7 +90,7 @@ std::optional<SweepSpec> SweepSpec::parse(std::string_view text,
   if (root->find("engines") != nullptr) {
     spec.engines.clear();
     for (const auto& v : root->list("engines")) {
-      if (v.kind == plan::JsonValue::Kind::String) {
+      if (v.kind == obs::JsonValue::Kind::String) {
         spec.engines.push_back(v.string);
       }
     }

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <vector>
 
+#include "autocfd/obs/json_util.hpp"
 #include "autocfd/trace/check.hpp"
 #include "autocfd/trace/critical_path.hpp"
 
@@ -14,29 +15,9 @@ namespace autocfd::trace {
 
 using mp::EventKind;
 using mp::TraceEvent;
+using obs::json_escape;
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Label for one event, resolving the tag/site through the registry.
 std::string event_name(const TraceEvent& e, const sync::TagRegistry* tags) {

@@ -236,6 +236,88 @@ TEST(Sentinel, TextAndJsonOutputsNameTheVerdict) {
   EXPECT_NE(json.str().find("\"regressed\": true"), std::string::npos);
 }
 
+// A committed baseline sidecar and a fresh one gate as a two-record
+// ledger, the way CI runs perf_sentinel --min-history=1 --threshold=0.10
+// --sidecar=BENCH_<fig>.json --sidecar=out/BENCH_<fig>.json.
+using Numbers = std::map<std::string, double>;
+using Strings = std::map<std::string, std::string>;
+
+const Strings kReleaseMeta{{"meta.build_type", "Release"},
+                           {"meta.engine", "bytecode"},
+                           {"meta.machine", "pentium_ethernet_1999"}};
+
+std::vector<RunRecord> sidecar_pair(const Numbers& base, const Numbers& cur,
+                                    const Strings& base_strings = kReleaseMeta,
+                                    const Strings& cur_strings = kReleaseMeta) {
+  return {record_from_sidecar("fig_x", base, base_strings),
+          record_from_sidecar("fig_x", cur, cur_strings)};
+}
+
+SentinelReport gate_pair(const std::vector<RunRecord>& pair) {
+  SentinelOptions options;
+  options.min_history = 1;
+  options.rel_threshold = 0.10;
+  return run_sentinel(pair, options);
+}
+
+TEST(Sentinel, SidecarPairGatesElapsedBeyondTheThreshold) {
+  const auto up12 =
+      gate_pair(sidecar_pair({{"a.elapsed_s", 1.0}}, {{"a.elapsed_s", 1.12}}));
+  ASSERT_EQ(up12.regressions().size(), 1u);
+  EXPECT_EQ(up12.regressions()[0]->metric, "a.elapsed_s");
+  const auto up9 =
+      gate_pair(sidecar_pair({{"a.elapsed_s", 1.0}}, {{"a.elapsed_s", 1.09}}));
+  EXPECT_TRUE(up9.ok());
+  EXPECT_EQ(up9.metrics_checked, 1u);
+}
+
+TEST(Sentinel, SidecarPairGatesSpeedupAndIdentityDrops) {
+  const auto slower =
+      gate_pair(sidecar_pair({{"a.speedup", 2.0}}, {{"a.speedup", 1.78}}));
+  ASSERT_EQ(slower.regressions().size(), 1u);
+  EXPECT_EQ(slower.regressions()[0]->metric, "a.speedup");
+  const auto differs = gate_pair(sidecar_pair({{"a.results_identical", 1.0}},
+                                              {{"a.results_identical", 0.0}}));
+  ASSERT_EQ(differs.regressions().size(), 1u);
+  EXPECT_EQ(differs.regressions()[0]->metric, "a.results_identical");
+}
+
+TEST(Sentinel, SidecarPairSkipsOneSidedAndRetypedKeys) {
+  // b.* exists only in the baseline; c.* became a string in the fresh
+  // sidecar; d.* was a string in the baseline. None of them gates.
+  Strings cur_strings = kReleaseMeta;
+  cur_strings["c.elapsed_s"] = "n/a";
+  Strings base_strings = kReleaseMeta;
+  base_strings["d.elapsed_s"] = "n/a";
+  const auto report = gate_pair(sidecar_pair(
+      {{"a.elapsed_s", 1.0}, {"b.elapsed_s", 1.0}, {"c.elapsed_s", 1.0}},
+      {{"a.elapsed_s", 1.0}, {"d.elapsed_s", 9.0}}, base_strings,
+      cur_strings));
+  EXPECT_TRUE(report.ok());
+  EXPECT_EQ(report.metrics_checked, 1u);  // a.elapsed_s
+  EXPECT_EQ(report.metrics_waiting, 1u);  // d.elapsed_s
+}
+
+TEST(Sentinel, SidecarPairWithMismatchedBuildTypeIsRefused) {
+  Strings debug = kReleaseMeta;
+  debug["meta.build_type"] = "Debug";
+  const auto pair = sidecar_pair({{"a.elapsed_s", 1.0}},
+                                 {{"a.elapsed_s", 10.0}}, kReleaseMeta, debug);
+  // The pair splits into two identity groups, so the sentinel alone
+  // checks nothing and would pass...
+  EXPECT_EQ(gate_pair(pair).metrics_checked, 0u);
+  // ...so the fresh record is refused, naming the differing field.
+  const auto mismatch = identity_mismatch(pair, 1);
+  ASSERT_EQ(mismatch.size(), 1u);
+  EXPECT_EQ(mismatch[0], "build_type: 'Release' vs 'Debug'");
+  // The first record of an input, and a matched pair, pass the guard.
+  EXPECT_TRUE(identity_mismatch(pair, 0).empty());
+  EXPECT_TRUE(identity_mismatch(
+                  sidecar_pair({{"a.elapsed_s", 1.0}}, {{"a.elapsed_s", 1.0}}),
+                  1)
+                  .empty());
+}
+
 // --------------------------------------------- compaction & rotation
 
 TEST(LedgerMaintenance, CompactionKeepsNewestPerGroupInOrder) {

@@ -1,4 +1,4 @@
-// perf_sentinel: the CI gate over the telemetry ledger.
+// perf_sentinel: the repository's regression gate.
 //
 // Reads one or more JSONL ledgers (plus optional BENCH_*.json sidecars
 // appended as fresh "bench" records), runs the regression sentinel,
@@ -11,10 +11,17 @@
 //                 [--sidecar=FILE]... [--window=K] [--min-history=N]
 //                 [--threshold=T] [--mad-factor=F] [--format=text|json]
 //
+// A committed baseline sidecar and a fresh one gate as a pair:
+//   perf_sentinel --min-history=1 --threshold=0.10
+//                 --sidecar=BENCH_fig.json --sidecar=out/BENCH_fig.json
+// A sidecar whose only earlier records of the same bench ran under a
+// different engine, build type or machine model would gate against
+// nothing, so the tool names the differing fields and refuses (exit 2).
+//
 // Exit codes: 0 clean, 1 regression detected, 2 usage / unreadable
-// input. Ledger parse warnings (corrupt lines, foreign schema
-// versions) go to stderr and are non-fatal — that tolerance is the
-// point of a per-line schema version.
+// input / mismatched sidecar identity. Ledger parse warnings (corrupt
+// lines, foreign schema versions) go to stderr and are non-fatal —
+// that tolerance is the point of a per-line schema version.
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -36,7 +43,8 @@ int usage(const char* argv0) {
       "\n"
       "Gates the newest record of every ledger group against a robust\n"
       "baseline (median + MAD over the last K earlier records).\n"
-      "Exits 0 when clean, 1 on regression, 2 on usage errors.\n",
+      "Exits 0 when clean, 1 on regression, 2 on usage errors or a\n"
+      "sidecar whose bench only ran under another identity.\n",
       argv0);
   return 2;
 }
@@ -139,6 +147,18 @@ int main(int argc, char** argv) {
       return 2;
     }
     records.push_back(std::move(*rec));
+    const auto mismatch =
+        ledger::identity_mismatch(records, records.size() - 1);
+    if (!mismatch.empty()) {
+      std::fprintf(stderr,
+                   "perf_sentinel: %s: no comparable baseline; earlier "
+                   "'%s' records differ in identity:\n",
+                   path.c_str(), records.back().input.c_str());
+      for (const auto& field : mismatch) {
+        std::fprintf(stderr, "  %s\n", field.c_str());
+      }
+      return 2;
+    }
   }
 
   const auto report = ledger::run_sentinel(records, options);

@@ -281,18 +281,52 @@ struct Restructurer {
 
   // ---- reductions ----------------------------------------------------------
 
+  /// A private scalar needs no communication as long as each rank
+  /// computes the whole of every value it uses: no partial sum over a
+  /// cut dimension, and no use after the nest (lastprivate would need a
+  /// broadcast, which the runtime does not provide).
+  void check_private(const ir::FieldLoop& fl, const ir::ReductionInfo& red) {
+    const std::string where = "scalar '" + red.var + "' of the nest at line " +
+                              std::to_string(fl.loop->loc.line);
+    for (const auto& acc : fl.reductions) {
+      if (acc.var != red.var) continue;
+      for (const auto* loop : acc.partial_loops) {
+        const auto it = fl.var_dims.find(loop->do_var);
+        if (it == fl.var_dims.end() ||
+            opts->spec.cuts[static_cast<std::size_t>(it->second)] <= 1) {
+          continue;
+        }
+        diags->error(fl.loop->loc,
+                     where + " accumulates a partial result across cut "
+                             "dimension " +
+                         std::to_string(it->second) +
+                         "; each rank would hold a different value");
+        return;
+      }
+    }
+    if (red.live_after) {
+      diags->error(fl.loop->loc,
+                   where + " is private to each iteration but live after "
+                           "the nest; its last value would need a broadcast");
+    }
+  }
+
   void insert_allreduces(fortran::ProgramUnit& unit, StmtList& list) {
     for (std::size_t i = 0; i < list.size(); ++i) {
       Stmt& s = *list[i];
       if (const auto* fl = field_loop_for(unit, s)) {
         std::size_t insert_at = i + 1;
-        // One AllReduce per distinct reduction variable.
+        // One AllReduce per distinct true reduction variable.
         std::vector<std::string> done;
         for (const auto& red : fl->reductions) {
           if (std::find(done.begin(), done.end(), red.var) != done.end()) {
             continue;
           }
           done.push_back(red.var);
+          if (red.kill != nullptr) {
+            check_private(*fl, red);
+            continue;
+          }
           auto ar = fortran::make_stmt(StmtKind::AllReduce, s.loc);
           ar->reduce_var = red.var;
           ar->callee = red.op;

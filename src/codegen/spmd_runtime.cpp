@@ -53,7 +53,10 @@ struct RankRuntime {
   /// One aggregated halo exchange (a combined synchronization point).
   /// Dimensions are processed in ascending order so corner ghosts fill
   /// transitively; within a dimension, the low side is exchanged before
-  /// the high side.
+  /// the high side. Only directions that carry layers move: a paired
+  /// sendrecv when both peers need layers, a one-way send or recv when
+  /// one does, nothing when neither does. The widths are static, so
+  /// both peers take the same branch.
   void halo_exchange(const Stmt& s) {
     flush_compute();
     const auto& sg = mine();
@@ -63,35 +66,51 @@ struct RankRuntime {
       for (const int dir : {-1, +1}) {
         const auto peer = part->neighbor(comm->rank(), dim, dir);
         if (!peer) continue;
-        // Width of the layers the *peer* needs from us, and the width
-        // we need from the peer, per array.
+        // Peer on the high side needs our top h.lo layers (it reads
+        // v(i - k)); peer on the low side needs our bottom h.hi. We
+        // need the opposite widths from the peer.
+        const auto send_w = [&](const fortran::HaloSpec& h) {
+          return dir > 0 ? h.lo_width[du] : h.hi_width[du];
+        };
+        const auto recv_w = [&](const fortran::HaloSpec& h) {
+          return dir > 0 ? h.hi_width[du] : h.lo_width[du];
+        };
+        bool sends = false, recvs = false;
+        for (const auto& h : s.halo_arrays) {
+          sends = sends || send_w(h) > 0;
+          recvs = recvs || recv_w(h) > 0;
+        }
+        if (!sends && !recvs) continue;
         std::vector<double> outbox;
         for (const auto& h : s.halo_arrays) {
-          // Peer on the high side needs our top h.lo layers (it reads
-          // v(i - k)); peer on the low side needs our bottom h.hi.
-          const int send_w = dir > 0 ? h.lo_width[du] : h.hi_width[du];
-          if (send_w <= 0) continue;
+          const int w = send_w(h);
+          if (w <= 0) continue;
           auto& av = array(h.array);
-          const long long base = dir > 0 ? sg.hi[du] - send_w + 1 : sg.lo[du];
-          pack_slab(av, dim, base, base + send_w - 1, outbox);
+          const long long base = dir > 0 ? sg.hi[du] - w + 1 : sg.lo[du];
+          pack_slab(av, dim, base, base + w - 1, outbox);
         }
         // One logical exchange per (dimension, neighbor pair): both
-        // peers must use the same tag for the paired sendrecv. The
-        // restructurer assigns a registry tag per (sync point, dim) so
-        // traces can attribute the message; fall back to the dimension
-        // for hand-built statements.
+        // peers must use the same tag. The restructurer assigns a
+        // registry tag per (sync point, dim) so traces can attribute the
+        // message; fall back to the dimension for hand-built statements.
         const int tag = du < s.comm_tags.size() && s.comm_tags[du] >= 0
                             ? s.comm_tags[du]
                             : dim;
-        auto inbox = comm->sendrecv(*peer, tag, std::move(outbox));
+        std::vector<double> inbox;
+        if (sends && recvs) {
+          inbox = comm->sendrecv(*peer, tag, std::move(outbox));
+        } else if (sends) {
+          comm->send(*peer, tag, std::move(outbox));
+        } else {
+          inbox = comm->recv(*peer, tag);
+        }
         std::size_t pos = 0;
         for (const auto& h : s.halo_arrays) {
-          const int recv_w = dir > 0 ? h.hi_width[du] : h.lo_width[du];
-          if (recv_w <= 0) continue;
+          const int w = recv_w(h);
+          if (w <= 0) continue;
           auto& av = array(h.array);
-          const long long base =
-              dir > 0 ? sg.hi[du] + 1 : sg.lo[du] - recv_w;
-          unpack_slab(av, dim, base, base + recv_w - 1, inbox, pos);
+          const long long base = dir > 0 ? sg.hi[du] + 1 : sg.lo[du] - w;
+          unpack_slab(av, dim, base, base + w - 1, inbox, pos);
         }
         if (pos != inbox.size()) {
           throw autocfd::CompileError("halo exchange size mismatch");

@@ -258,7 +258,7 @@ mp::FaultDecision FaultInjector::on_message(int src, int dst, int tag,
   }
   if (fd.extra_delay > 0.0) {
     ++counters_.delayed;
-    counters_.delay_s += fd.extra_delay;
+    delays_[{src, dst, tag, msg_id}] += fd.extra_delay;
   }
 
   // Drops: targeted first, then probabilistic.
@@ -309,11 +309,18 @@ double FaultInjector::compute_factor(int rank) {
   return factor;
 }
 
+FaultCounters FaultInjector::counters() const {
+  FaultCounters c = counters_;
+  for (const auto& [key, delay] : delays_) c.delay_s += delay;
+  return c;
+}
+
 void FaultInjector::export_metrics(obs::MetricsRegistry& registry) const {
-  registry.add("fault.injected.delayed", counters_.delayed);
-  registry.add("fault.injected.dropped", counters_.dropped);
-  registry.add("fault.injected.corrupted", counters_.corrupted);
-  registry.set_gauge("fault.injected.delay_s", counters_.delay_s);
+  const FaultCounters c = counters();
+  registry.add("fault.injected.delayed", c.delayed);
+  registry.add("fault.injected.dropped", c.dropped);
+  registry.add("fault.injected.corrupted", c.corrupted);
+  registry.set_gauge("fault.injected.delay_s", c.delay_s);
 }
 
 }  // namespace autocfd::fault

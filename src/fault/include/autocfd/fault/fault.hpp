@@ -16,7 +16,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "autocfd/mp/fault_hook.hpp"
@@ -112,8 +114,14 @@ class FaultInjector : public mp::FaultHook {
   double compute_factor(int rank) override;
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
-  [[nodiscard]] const FaultCounters& counters() const { return counters_; }
-  void reset() { counters_ = FaultCounters{}; }
+  /// delay_s sums the injected delays in (src, dst, tag, message id)
+  /// order. Ranks reach the hook in a host-dependent interleaving, so a
+  /// running sum would round differently from one rerun to the next.
+  [[nodiscard]] FaultCounters counters() const;
+  void reset() {
+    counters_ = FaultCounters{};
+    delays_.clear();
+  }
 
   /// Publishes counters as `fault.injected.*` metrics (the trace ->
   /// metrics bridge independently derives `fault.*` from the event
@@ -122,7 +130,8 @@ class FaultInjector : public mp::FaultHook {
 
  private:
   FaultPlan plan_;
-  FaultCounters counters_;
+  FaultCounters counters_;  // delay_s is summed from delays_ on demand
+  std::map<std::tuple<int, int, int, long long>, double> delays_;
 };
 
 }  // namespace autocfd::fault

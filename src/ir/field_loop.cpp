@@ -183,6 +183,15 @@ struct Collector {
     }
   }
 
+  void add_reduction(const std::string& var, const std::string& op,
+                     const Stmt& stmt) {
+    ReductionInfo red;
+    red.var = var;
+    red.op = op;
+    red.stmt = &stmt;
+    out->reductions.push_back(std::move(red));
+  }
+
   void detect_reduction(const Stmt& stmt) {
     // s = max(s, ...) / s = min(s, ...) / s = s + ...
     if (stmt.lhs->kind != ExprKind::VarRef) return;
@@ -195,12 +204,12 @@ struct Collector {
         rhs.args[0]->name == var) {
       const std::string op =
           (rhs.name == "max" || rhs.name == "amax1") ? "max" : "min";
-      out->reductions.push_back(ReductionInfo{var, op, &stmt});
+      add_reduction(var, op, stmt);
       return;
     }
     if (rhs.kind == ExprKind::Binary && rhs.bin_op == fortran::BinOp::Add &&
         rhs.args[0]->kind == ExprKind::VarRef && rhs.args[0]->name == var) {
-      out->reductions.push_back(ReductionInfo{var, "sum", &stmt});
+      add_reduction(var, "sum", stmt);
     }
   }
 
@@ -268,6 +277,224 @@ void record_classifications(const FieldLoop& fl, obs::ProvenanceLog& prov) {
   }
 }
 
+// ---- scalar privatization ---------------------------------------------------
+
+/// True if `s` itself (not its child statements) may read `var`. A call
+/// may read a COMMON variable without naming it.
+bool reads_scalar(const Stmt& s, const std::string& var, bool in_common) {
+  if (s.kind == StmtKind::Call && in_common) return true;
+  bool found = false;
+  const auto visit = [&](const Expr& e) {
+    if (e.kind == ExprKind::VarRef && e.name == var) found = true;
+  };
+  if (s.kind == StmtKind::Assign) {
+    // The target is written, not read; only its subscripts are read.
+    fortran::for_each_expr(*s.rhs, visit);
+    for (const auto& a : s.lhs->args) fortran::for_each_expr(*a, visit);
+  } else {
+    fortran::for_each_expr(s, visit);
+  }
+  return found;
+}
+
+bool writes_scalar(const Stmt& s, const std::string& var) {
+  return s.kind == StmtKind::Assign && s.lhs->kind == ExprKind::VarRef &&
+         s.lhs->name == var;
+}
+
+/// Position of a statement: the (list, index) of it and of every
+/// statement enclosing it, outermost first.
+struct Frame {
+  const fortran::StmtList* list;
+  std::size_t index;
+};
+using Path = std::vector<Frame>;
+
+const Stmt& stmt_at(const Frame& f) { return *(*f.list)[f.index]; }
+
+bool find_path(const fortran::StmtList& list, const Stmt* target, Path& path) {
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    path.push_back({&list, i});
+    const Stmt& s = *list[i];
+    if (&s == target || find_path(s.body, target, path) ||
+        find_path(s.else_body, target, path)) {
+      return true;
+    }
+    path.pop_back();
+  }
+  return false;
+}
+
+/// The reads and unconditional kills of one scalar inside a nest.
+struct KillSearch {
+  const std::string& var;
+  bool in_common;
+  std::vector<Path> reads;
+  std::vector<Path> kills;  // document order
+  bool has_goto = false;
+
+  void walk(const fortran::StmtList& list, Path& path, bool under_if) {
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      const Stmt& s = *list[i];
+      path.push_back({&list, i});
+      if (s.kind == StmtKind::Goto) has_goto = true;
+      if (reads_scalar(s, var, in_common)) {
+        reads.push_back(path);
+      } else if (!under_if && writes_scalar(s, var)) {
+        kills.push_back(path);
+      }
+      const bool branch = under_if || s.kind == StmtKind::If;
+      walk(s.body, path, branch);
+      walk(s.else_body, path, branch);
+      path.pop_back();
+    }
+  }
+
+  /// The first kill that every read follows in the same iteration:
+  /// the read sits later in the kill's own list, or inside a later
+  /// statement of it.
+  const Path* dominating_kill() const {
+    if (has_goto) return nullptr;  // a jump could bypass the kill
+    for (const auto& kill : kills) {
+      const Frame& k = kill.back();
+      const bool all_after =
+          std::all_of(reads.begin(), reads.end(), [&](const Path& read) {
+            for (const auto& f : read) {
+              if (f.list == k.list) return f.index > k.index;
+            }
+            return false;
+          });
+      if (all_after) return &kill;
+    }
+    return nullptr;
+  }
+};
+
+/// Forward scan for an upward-exposed read of a local scalar.
+struct LiveScan {
+  enum class Flow { Read, Dead, Open };
+  const std::string& var;
+  bool exits = false;  // some path left the unit through a return
+
+  Flow scan(const fortran::StmtList& list, std::size_t from) {
+    for (std::size_t i = from; i < list.size(); ++i) {
+      const Stmt& s = *list[i];
+      if (reads_scalar(s, var, false)) return Flow::Read;
+      switch (s.kind) {
+        case StmtKind::Assign:
+          if (writes_scalar(s, var)) return Flow::Dead;
+          break;
+        case StmtKind::Goto:
+          return Flow::Read;  // conservatively: the target may read it
+        case StmtKind::Return:
+          exits = true;
+          return Flow::Dead;
+        case StmtKind::Stop:
+          return Flow::Dead;
+        case StmtKind::Do:
+          // The body may run zero times: it can expose a read but
+          // never kills.
+          if (scan(s.body, 0) == Flow::Read) return Flow::Read;
+          break;
+        case StmtKind::If: {
+          const Flow then_flow = scan(s.body, 0);
+          const Flow else_flow = scan(s.else_body, 0);
+          if (then_flow == Flow::Read || else_flow == Flow::Read) {
+            return Flow::Read;
+          }
+          if (then_flow == Flow::Dead && else_flow == Flow::Dead) {
+            return Flow::Dead;
+          }
+          break;
+        }
+        default:
+          break;
+      }
+    }
+    return Flow::Open;
+  }
+};
+
+/// True if `var` may be read after the nest `loop` of `unit` finishes.
+bool live_after_nest(const fortran::ProgramUnit& unit, const Stmt& loop,
+                     const std::string& var) {
+  if (unit.in_common(var) ||
+      std::find(unit.formal_args.begin(), unit.formal_args.end(), var) !=
+          unit.formal_args.end()) {
+    return true;
+  }
+  Path path;
+  if (!find_path(unit.body, &loop, path)) return true;
+  LiveScan live{var};
+  using Flow = LiveScan::Flow;
+  bool dead = false;
+  for (std::size_t k = path.size(); k-- > 0 && !dead;) {
+    const Flow rest = live.scan(*path[k].list, path[k].index + 1);
+    if (rest == Flow::Read) return true;
+    dead = rest == Flow::Dead;
+    // The back edge of an enclosing (non-field) loop, e.g. the frame
+    // loop: the next iteration runs its body from the top.
+    if (!dead && k > 0 && stmt_at(path[k - 1]).kind == StmtKind::Do &&
+        live.scan(stmt_at(path[k - 1]).body, 0) == Flow::Read) {
+      return true;
+    }
+  }
+  // Locals keep their storage between calls, so leaving the unit
+  // continues at its entry on the next call.
+  if (!dead) live.exits = true;
+  return live.exits && live.scan(unit.body, 0) == Flow::Read;
+}
+
+/// Marks each reduction-shaped scalar of `fl` private (with its kill,
+/// partial loops and liveness) or leaves it a true reduction.
+void classify_scalars(FieldLoop& fl, obs::ProvenanceLog* prov) {
+  const auto& unit = *fl.unit;
+  std::vector<std::string> done;
+  for (const auto& red : fl.reductions) {
+    if (std::find(done.begin(), done.end(), red.var) != done.end()) continue;
+    done.push_back(red.var);
+    const std::string& var = red.var;
+
+    KillSearch search{var, unit.in_common(var), {}, {}};
+    Path path;
+    search.walk(fl.loop->body, path, false);
+    // A read in the root's own bounds precedes every iteration.
+    const Path* kill = reads_scalar(*fl.loop, var, search.in_common)
+                           ? nullptr
+                           : search.dominating_kill();
+    const bool live = kill != nullptr && live_after_nest(unit, *fl.loop, var);
+    if (kill != nullptr) {
+      for (auto& r : fl.reductions) {
+        if (r.var != var) continue;
+        r.kill = &stmt_at(kill->back());
+        r.live_after = live;
+        for (const auto& read : search.reads) {
+          if (&stmt_at(read.back()) != r.stmt) continue;
+          bool inside = false;
+          for (std::size_t k = 0; k + 1 < read.size(); ++k) {
+            inside = inside || read[k].list == kill->back().list;
+            if (inside && stmt_at(read[k]).kind == StmtKind::Do) {
+              r.partial_loops.push_back(&stmt_at(read[k]));
+            }
+          }
+        }
+      }
+    }
+    if (prov != nullptr) {
+      prov->add(obs::DecisionKind::ScalarClassification, fl.loop->loc,
+                "loop@" + std::to_string(fl.loop->loc.line) + " scalar '" +
+                    var + "'",
+                kill != nullptr ? "private" : "reduction",
+                kill == nullptr
+                    ? "not killed in the nest"
+                    : "killed at line " +
+                          std::to_string(stmt_at(kill->back()).loc.line) +
+                          (live ? ", live after the nest"
+                                : ", dead after the nest"));
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<FieldLoop> analyze_field_loops(const fortran::ProgramUnit& unit,
@@ -328,8 +555,9 @@ std::vector<FieldLoop> analyze_field_loops(const fortran::ProgramUnit& unit,
             [](const FieldLoop& a, const FieldLoop& b) {
               return a.loop->id < b.loop->id;
             });
-  if (prov != nullptr) {
-    for (const auto& fl : out) record_classifications(fl, *prov);
+  for (auto& fl : out) {
+    if (prov != nullptr) record_classifications(fl, *prov);
+    classify_scalars(fl, prov);
   }
   return out;
 }

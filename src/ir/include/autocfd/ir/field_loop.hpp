@@ -72,12 +72,27 @@ struct ArrayInfo {
 enum class LoopType { A, R, C, O };
 [[nodiscard]] std::string_view loop_type_name(LoopType t);
 
-/// Scalar reduction recognized inside a field loop
+/// Reduction-shaped update recognized inside a field loop
 /// (errmax = max(errmax, ...) or s = s + ...).
+///
+/// The scalar is *private* when an unconditional `var = e` (e not
+/// mentioning var) comes before, in the same iteration, every read of
+/// var in the nest: earlier in the same statement list, or in a list
+/// enclosing the read. Each iteration then starts from a fresh value,
+/// so nothing crosses ranks. Otherwise it is a true reduction.
 struct ReductionInfo {
   std::string var;
   std::string op;  // "max", "min" or "sum"
   const fortran::Stmt* stmt = nullptr;
+  /// The killing `var = e` of a private scalar; null for a true
+  /// reduction.
+  const fortran::Stmt* kill = nullptr;
+  /// Private scalars: the Do loops between the kill and `stmt`,
+  /// outermost first. The update is a partial sum over these loops.
+  std::vector<const fortran::Stmt*> partial_loops;
+  /// Private scalars: var may be read after the nest (it is in COMMON,
+  /// a dummy argument, or has an upward-exposed read later on).
+  bool live_after = false;
 };
 
 /// A field loop: the outermost Do of a nest scanning the flow field.
@@ -102,7 +117,9 @@ struct FieldLoop {
 /// Analyzes one unit. All loops whose variables index status dimensions
 /// are found; for each maximal such nest a FieldLoop is produced.
 /// With a provenance log, one LoopClassification entry is recorded per
-/// (field loop, status array) stating the A/R/C/O verdict and why.
+/// (field loop, status array) stating the A/R/C/O verdict and why, and
+/// one ScalarClassification entry per (field loop, reduction-shaped
+/// scalar) stating private or reduction and why.
 [[nodiscard]] std::vector<FieldLoop> analyze_field_loops(
     const fortran::ProgramUnit& unit, const FieldConfig& config,
     DiagnosticEngine& diags, obs::ProvenanceLog* prov = nullptr);

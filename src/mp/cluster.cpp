@@ -747,6 +747,8 @@ double Cluster::allreduce_impl(int rank, double value, bool is_max,
                   config_.message_time(static_cast<long long>(sizeof(double)));
     coll_arrived_ = 0;
     ++coll_generation_;
+    coll_result_max_ = coll_value_max_;
+    coll_result_sum_ = coll_value_sum_;
     for (int r = 0; r < nprocs_; ++r) {
       auto& st = stats_[static_cast<std::size_t>(r)];
       const double entry = clocks_[static_cast<std::size_t>(r)];
@@ -789,7 +791,7 @@ double Cluster::allreduce_impl(int rank, double value, bool is_max,
     op.active = false;
     if (coll_generation_ == my_generation) throw_released(rank, released);
   }
-  return is_max ? coll_value_max_ : coll_value_sum_;
+  return is_max ? coll_result_max_ : coll_result_sum_;
 }
 
 void Cluster::barrier_impl(int rank, int site) {

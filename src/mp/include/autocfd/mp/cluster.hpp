@@ -280,6 +280,13 @@ class Cluster {
   long long coll_generation_ = 0;
   double coll_value_max_ = 0.0;
   double coll_value_sum_ = 0.0;
+  /// Result of the last completed collective. Released waiters read
+  /// it after reacquiring the lock, by when the last arriver may have
+  /// started accumulating the next collective in coll_value_*; it is
+  /// only overwritten when that next one completes, which needs every
+  /// waiter to arrive again.
+  double coll_result_max_ = 0.0;
+  double coll_result_sum_ = 0.0;
   double coll_time_ = 0.0;
   double coll_rendezvous_ = 0.0;  // slowest entry clock, pre-cost
 };

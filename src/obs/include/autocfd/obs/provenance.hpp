@@ -20,6 +20,7 @@ namespace autocfd::obs {
 
 enum class DecisionKind {
   LoopClassification,  // ir: field loop typed A/R/C/O for one array
+  ScalarClassification,  // ir: reduction-shaped scalar private/reduction
   SelfDependence,      // depend: direction-vector split of a self-dep
   RegionHoist,         // sync: start point hoisted out of an owner stmt
   RegionPin,           // sync: hoisting stopped (reader/goto/boundary)

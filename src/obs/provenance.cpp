@@ -9,6 +9,7 @@ namespace autocfd::obs {
 const char* decision_kind_name(DecisionKind kind) {
   switch (kind) {
     case DecisionKind::LoopClassification: return "loop_classification";
+    case DecisionKind::ScalarClassification: return "scalar_classification";
     case DecisionKind::SelfDependence: return "self_dependence";
     case DecisionKind::RegionHoist: return "region_hoist";
     case DecisionKind::RegionPin: return "region_pin";
@@ -23,6 +24,7 @@ const char* decision_kind_name(DecisionKind kind) {
 const char* decision_kind_tag(DecisionKind kind) {
   switch (kind) {
     case DecisionKind::LoopClassification: return "classify";
+    case DecisionKind::ScalarClassification: return "scalar";
     case DecisionKind::SelfDependence: return "self-dep";
     case DecisionKind::RegionHoist: return "hoist";
     case DecisionKind::RegionPin: return "pin";

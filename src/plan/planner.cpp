@@ -19,9 +19,9 @@ using partition::PartitionSpec;
 
 /// Per-execution communication bill of one candidate configuration,
 /// mirroring the runtime's halo_exchange exactly: per combined sync
-/// point, per cut dimension, per direction with a neighbor, one
-/// sendrecv per rank whose payload packs every member array's slab
-/// across the full local allocation (ghosts included) of the other
+/// point, per cut dimension, per direction with a neighbor that needs
+/// layers, one send per rank whose payload packs every member array's
+/// slab across the full local allocation (ghosts included) of the other
 /// dimensions.
 struct CommModel {
   long long messages = 0;        // wire sends per exec, all ranks
@@ -85,6 +85,8 @@ CommModel model_comm(const PlanningFacts& facts, const BlockPartition& part,
             bytes += 8 * slab_elements(facts, part, rank, h.array, dim,
                                        send_w);
           }
+          // A peer that needs no layers gets no message.
+          if (bytes == 0) continue;
           const double t = machine.message_time(bytes);
           site.messages += 1;
           site.transfer_s += t;

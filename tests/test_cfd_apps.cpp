@@ -4,10 +4,13 @@
 // grids.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "autocfd/cfd/apps.hpp"
 #include "autocfd/core/pipeline.hpp"
 #include "autocfd/fortran/parser.hpp"
 #include "autocfd/fortran/printer.hpp"
+#include "autocfd/trace/recorder.hpp"
 
 namespace autocfd::cfd {
 namespace {
@@ -188,6 +191,132 @@ TEST(SprayerApp, DualCutCountIsAdditive) {
   EXPECT_EQ(count("4x4"), count("4x1") + count("1x4"));
 }
 
+// ---- necessary and sufficient communication --------------------------------
+
+std::string small_aerofoil() {
+  AerofoilParams p;
+  p.n1 = 16;
+  p.n2 = 8;
+  p.n3 = 4;
+  p.frames = 2;
+  return aerofoil_source(p);
+}
+
+std::string small_sprayer() {
+  SprayerParams p;
+  p.nx = 18;
+  p.ny = 12;
+  p.frames = 2;
+  return sprayer_source(p);
+}
+
+bool insert_after(fortran::StmtList& list, const fortran::Stmt* target,
+                  fortran::StmtPtr& stmt) {
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    if (list[i].get() == target) {
+      list.insert(list.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                  std::move(stmt));
+      return true;
+    }
+    if (insert_after(list[i]->body, target, stmt) ||
+        insert_after(list[i]->else_body, target, stmt)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Stores 1.0e30 into every privatized scalar right after its nest;
+/// returns the number of stores inserted.
+int poison_private_scalars(fortran::SourceFile& file,
+                           const ir::FieldConfig& cfg) {
+  int inserted = 0;
+  for (auto& unit : file.units) {
+    DiagnosticEngine diags;
+    const auto loops = ir::analyze_field_loops(unit, cfg, diags);
+    for (const auto& fl : loops) {
+      std::vector<std::string> vars;
+      for (const auto& red : fl.reductions) {
+        if (red.kill != nullptr &&
+            std::find(vars.begin(), vars.end(), red.var) == vars.end()) {
+          vars.push_back(red.var);
+        }
+      }
+      for (const auto& var : vars) {
+        auto poison = fortran::make_stmt(fortran::StmtKind::Assign);
+        poison->lhs = fortran::make_var(var);
+        poison->rhs = fortran::make_real(1.0e30);
+        if (insert_after(unit.body, fl.loop, poison)) ++inserted;
+      }
+    }
+  }
+  fortran::assign_stmt_ids(file);
+  return inserted;
+}
+
+// Privatization sends nothing for a scalar, so the scalar must be dead
+// after its nest: clobbering it there leaves every status array of the
+// sequential program bit-identical.
+TEST(CaseStudies, PrivatizedScalarsAreDeadAfterTheirNests) {
+  const auto machine = mp::MachineConfig::pentium_ethernet_1999();
+  for (const auto& src : {small_aerofoil(), small_sprayer()}) {
+    DiagnosticEngine diags;
+    const auto dirs = Directives::extract(src, diags);
+    ASSERT_FALSE(diags.has_errors()) << diags.dump();
+    auto clean = fortran::parse_source(src);
+    auto poisoned = fortran::parse_source(src);
+    const int n = poison_private_scalars(poisoned, dirs.field_config());
+    // The aerofoil's per-point `acc`; the sprayer has none.
+    EXPECT_EQ(n > 0, src == small_aerofoil()) << n;
+    const auto a =
+        codegen::run_sequential_timed(clean, dirs.status_arrays, machine);
+    const auto b =
+        codegen::run_sequential_timed(poisoned, dirs.status_arrays, machine);
+    for (const auto& name : dirs.status_arrays) {
+      EXPECT_EQ(a.arrays.at(name), b.arrays.at(name)) << name;
+    }
+  }
+}
+
+// Every wire message carries data, and the only collective is the true
+// `resmax` reduction.
+TEST(CaseStudies, NoEmptyMessagesAndOneAllReduceSite) {
+  const std::pair<std::string, const char*> runs[] = {
+      {small_aerofoil(), "2x2x1"},
+      {small_aerofoil(), "4x1x1"},
+      {small_sprayer(), "2x2"},
+      {small_sprayer(), "4x1"},
+  };
+  for (const auto& [src, part] : runs) {
+    DiagnosticEngine diags;
+    auto dirs = Directives::extract(src, diags);
+    dirs.partition = partition::PartitionSpec::parse(part);
+    auto program = core::parallelize(src, dirs);
+    const auto& par_src = program->parallel_source;
+    std::size_t allreduces = 0;
+    for (auto pos = par_src.find("call mpi_allreduce(");
+         pos != std::string::npos;
+         pos = par_src.find("call mpi_allreduce(", pos + 1)) {
+      ++allreduces;
+    }
+    EXPECT_EQ(allreduces, 1u) << part;
+
+    trace::TraceRecorder recorder;
+    codegen::SpmdRunOptions opts;
+    opts.sink = &recorder;
+    (void)program->run(mp::MachineConfig::pentium_ethernet_1999(), opts);
+    long long sends = 0, empty = 0;
+    for (const auto& events : recorder.trace().per_rank) {
+      for (const auto& e : events) {
+        if (e.kind != mp::EventKind::Send) continue;
+        ++sends;
+        if (e.bytes == 0) ++empty;
+      }
+    }
+    EXPECT_GT(sends, 0) << part;
+    EXPECT_EQ(empty, 0) << part;
+  }
+}
 
 TEST(GeneratedSources, PrinterRoundTripStable) {
   // The generated case-study sources must round-trip through the

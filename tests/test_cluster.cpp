@@ -148,6 +148,22 @@ TEST(ClusterRun, AllReduceMaxAndSum) {
   }
 }
 
+// A released waiter must read its own collective's result even when
+// the last arriver has already entered the next collective.
+TEST(ClusterRun, BackToBackAllReducesKeepTheirResults) {
+  Cluster cluster(4, MachineConfig::pentium_ethernet_1999());
+  std::vector<int> wrong(4, 0);
+  (void)cluster.run([&](Comm& comm) {
+    for (int k = 0; k < 400; ++k) {
+      const double v = static_cast<double>(comm.rank() + k);
+      if (comm.allreduce_max(v) != static_cast<double>(3 + k)) {
+        ++wrong[static_cast<std::size_t>(comm.rank())];
+      }
+    }
+  });
+  EXPECT_EQ(wrong, (std::vector<int>{0, 0, 0, 0}));
+}
+
 TEST(ClusterRun, AllReduceSynchronizesClocks) {
   Cluster cluster(3, MachineConfig::pentium_ethernet_1999());
   std::vector<double> clocks(3);

@@ -220,6 +220,136 @@ TEST(Restructure, EmittedSourceReparses) {
   }
 }
 
+// ---- scalar privatization ---------------------------------------------------
+
+std::size_t count_allreduces(const std::string& src) {
+  std::size_t count = 0, pos = 0;
+  while ((pos = src.find("call mpi_allreduce(", pos)) != std::string::npos) {
+    ++count;
+    ++pos;
+  }
+  return count;
+}
+
+/// A 2-D program over v and w (grid 16x16) with the given body.
+std::string scalar_program(const std::string& decls, const std::string& body) {
+  return "!$acfd grid 16 16\n"
+         "!$acfd status v w\n"
+         "program p\n"
+         "real v(16, 16), w(16, 16)\n"
+         "real acc, x\n"
+         "integer i, j, it\n" +
+         decls + body + "end\n";
+}
+
+constexpr const char* kAccNest =
+    "do i = 2, 15\n"
+    "  do j = 1, 16\n"
+    "    acc = 0.0\n"
+    "    acc = acc + 0.5 * (v(i + 1, j) - v(i - 1, j))\n"
+    "    w(i, j) = w(i, j) * 0.98 + 0.01 * acc\n"
+    "  end do\n"
+    "end do\n";
+
+/// Wraps `inner` in a 16x16 nest.
+std::string nest(const std::string& inner) {
+  return "do i = 1, 16\n  do j = 1, 16\n" + inner + "  end do\nend do\n";
+}
+
+/// The CompileError message of compiling `src` on `part` ("" if none).
+std::string compile_error(const std::string& src, const std::string& part) {
+  try {
+    (void)build(src, part);
+  } catch (const CompileError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Restructure, AllReduceOnlyForTrueReductions) {
+  const struct {
+    const char* what;
+    std::string src;
+    std::size_t allreduces;
+  } cases[] = {
+      {"aerofoil acc shape", scalar_program("", kAccNest), 0},
+      {"kill under if",
+       scalar_program("", nest("    if (v(i, j) .gt. 0.0) then\n"
+                               "      acc = 0.0\n"
+                               "    end if\n"
+                               "    acc = acc + v(i, j)\n"
+                               "    w(i, j) = acc\n")),
+       1},
+      {"kill after the accumulation",
+       scalar_program("", nest("    acc = acc + v(i, j)\n"
+                               "    w(i, j) = acc\n"
+                               "    acc = 0.0\n")),
+       1},
+      {"read before the kill",
+       scalar_program("", nest("    w(i, j) = acc\n"
+                               "    acc = 0.0\n"
+                               "    acc = acc + v(i, j)\n")),
+       1},
+      {"second nest kills acc first",
+       scalar_program("", std::string("do it = 1, 2\n") + kAccNest +
+                              kAccNest + "end do\n"),
+       0},
+      {"true max next to a private sum",
+       scalar_program("", std::string("x = 0.0\n") + kAccNest +
+                              nest("    x = max(x, abs(v(i, j)))\n") +
+                              "write(6, *) x\n"),
+       1},
+  };
+  for (const auto& c : cases) {
+    for (const auto* part : {"2x2", "4x1"}) {
+      auto program = build(c.src, part);
+      EXPECT_EQ(count_allreduces(program->parallel_source), c.allreduces)
+          << c.what << " " << part << "\n"
+          << program->parallel_source;
+    }
+  }
+}
+
+TEST(Restructure, PartialSumOverUncutDimensionNeedsNoCommunication) {
+  const auto src = scalar_program("",
+                                  "do j = 1, 16\n"
+                                  "  acc = 0.0\n"
+                                  "  do i = 1, 16\n"
+                                  "    acc = acc + v(i, j)\n"
+                                  "  end do\n"
+                                  "  w(1, j) = acc\n"
+                                  "end do\n");
+  auto program = build(src, "1x4");
+  EXPECT_EQ(count_allreduces(program->parallel_source), 0u);
+  // Every rank sums whole columns: the SPMD run matches the sequential
+  // one bitwise.
+  const auto machine = mp::MachineConfig::pentium_ethernet_1999();
+  auto seq_file = fortran::parse_source(src);
+  const auto seq = run_sequential_timed(seq_file, {"v", "w"}, machine);
+  const auto par = program->run(machine);
+  EXPECT_EQ(par.gathered.at("w"), seq.arrays.at("w"));
+
+  // Cutting the summed dimension would leave each rank a partial sum.
+  const auto err = compile_error(src, "4x1");
+  EXPECT_NE(err.find("scalar 'acc' of the nest at line 7"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("across cut dimension 0"), std::string::npos) << err;
+}
+
+TEST(Restructure, PrivateScalarLiveAfterTheNestIsAnError) {
+  for (const auto& [decls, after] :
+       {std::pair<std::string, std::string>{"common /c/ acc\n", ""},
+        std::pair<std::string, std::string>{"", "x = acc\n"}}) {
+    const auto err =
+        compile_error(scalar_program(decls, kAccNest + after), "2x2");
+    EXPECT_NE(err.find("scalar 'acc' of the nest at line " +
+                       std::to_string(7 + (decls.empty() ? 0 : 1))),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("live after the nest"), std::string::npos) << err;
+  }
+}
+
 TEST(SpmdRuntimeStats, MessagesAndBytesAccounted) {
   auto program = build(kStencil, "2x1");
   auto run = program->run(mp::MachineConfig::pentium_ethernet_1999());

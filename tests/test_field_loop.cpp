@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "autocfd/fortran/parser.hpp"
 #include "autocfd/ir/field_loop.hpp"
 
@@ -229,6 +231,128 @@ TEST(FieldLoop, ReductionDetected) {
   EXPECT_EQ(loops[0].reductions[0].op, "max");
   EXPECT_EQ(loops[0].reductions[1].var, "s");
   EXPECT_EQ(loops[0].reductions[1].op, "sum");
+}
+
+// ---- scalar privatization ---------------------------------------------------
+
+/// A 2-D program: `decls` after the arrays, then `body`.
+fortran::SourceFile scalar_program(const std::string& decls,
+                                   const std::string& body) {
+  return parse_source("program p\n"
+                      "real v(8, 8), w(8, 8)\n"
+                      "real acc, x\n"
+                      "integer i, j, it\n" +
+                      decls + body + "end\n");
+}
+
+/// Source line of the `n`-th line of `body` (line 1 is `program p`,
+/// three declaration lines and `decls` follow).
+int body_line(const std::string& decls, int n) {
+  return 4 + static_cast<int>(std::count(decls.begin(), decls.end(), '\n')) +
+         n;
+}
+
+constexpr const char* kAccNest =
+    "do i = 2, 7\n"
+    "  do j = 1, 8\n"
+    "    acc = 0.0\n"
+    "    acc = acc + 0.5 * (v(i + 1, j) - v(i - 1, j))\n"
+    "    acc = acc + 0.5 * w(i, j)\n"
+    "    w(i, j) = w(i, j) * 0.98 + 0.01 * acc\n"
+    "  end do\n"
+    "end do\n";
+
+TEST(FieldLoop, AccumulatorKilledEachIterationIsPrivate) {
+  const auto file = scalar_program("", kAccNest);
+  const auto loops = analyze(file, config2d());
+  ASSERT_EQ(loops.size(), 1u);
+  ASSERT_EQ(loops[0].reductions.size(), 2u);
+  for (const auto& red : loops[0].reductions) {
+    EXPECT_EQ(red.var, "acc");
+    ASSERT_NE(red.kill, nullptr);
+    EXPECT_EQ(red.kill->loc.line, body_line("", 3));
+    EXPECT_TRUE(red.partial_loops.empty());
+    EXPECT_FALSE(red.live_after);
+  }
+}
+
+TEST(FieldLoop, KillThatDoesNotPrecedeEveryReadLeavesAReduction) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"kill under if",
+       "    if (v(i, j) .gt. 0.0) then\n"
+       "      acc = 0.0\n"
+       "    end if\n"
+       "    acc = acc + v(i, j)\n"
+       "    w(i, j) = acc\n"},
+      {"kill after the accumulation",
+       "    acc = acc + v(i, j)\n"
+       "    w(i, j) = acc\n"
+       "    acc = 0.0\n"},
+      {"read before the kill",
+       "    w(i, j) = acc\n"
+       "    acc = 0.0\n"
+       "    acc = acc + v(i, j)\n"},
+  };
+  for (const auto& [what, inner] : cases) {
+    const auto file = scalar_program(
+        "", std::string("do i = 1, 8\n  do j = 1, 8\n") + inner +
+                "  end do\nend do\n");
+    const auto loops = analyze(file, config2d());
+    ASSERT_EQ(loops.size(), 1u) << what;
+    ASSERT_EQ(loops[0].reductions.size(), 1u) << what;
+    EXPECT_EQ(loops[0].reductions[0].kill, nullptr) << what;
+  }
+}
+
+TEST(FieldLoop, KillInOuterLoopRecordsThePartialLoops) {
+  const auto file = scalar_program("",
+                                   "do j = 1, 8\n"
+                                   "  acc = 0.0\n"
+                                   "  do i = 1, 8\n"
+                                   "    acc = acc + v(i, j)\n"
+                                   "  end do\n"
+                                   "  w(1, j) = acc\n"
+                                   "end do\n");
+  const auto loops = analyze(file, config2d());
+  ASSERT_EQ(loops.size(), 1u);
+  ASSERT_EQ(loops[0].reductions.size(), 1u);
+  const auto& red = loops[0].reductions[0];
+  ASSERT_NE(red.kill, nullptr);
+  EXPECT_EQ(red.kill->loc.line, body_line("", 2));
+  ASSERT_EQ(red.partial_loops.size(), 1u);
+  EXPECT_EQ(red.partial_loops[0]->do_var, "i");
+  EXPECT_FALSE(red.live_after);
+}
+
+TEST(FieldLoop, PrivateScalarLivenessAfterTheNest) {
+  const struct {
+    const char* what;
+    std::string decls;
+    std::string body;
+    bool live;
+  } cases[] = {
+      {"in common", "common /c/ acc\n", kAccNest, true},
+      {"read after the nest", "", std::string(kAccNest) + "x = acc\n", true},
+      {"read at the top of the frame loop",
+       "", std::string("do it = 1, 2\n  x = acc\n") + kAccNest + "end do\n",
+       true},
+      {"later nest kills it first", "",
+       std::string("do it = 1, 2\n") + kAccNest + kAccNest + "end do\n",
+       false},
+      {"goto after the nest", "",
+       std::string(kAccNest) + "goto 10\n10 continue\n", true},
+  };
+  for (const auto& c : cases) {
+    const auto file = scalar_program(c.decls, c.body);
+    const auto loops = analyze(file, config2d());
+    ASSERT_FALSE(loops.empty()) << c.what;
+    for (const auto& fl : loops) {
+      for (const auto& red : fl.reductions) {
+        ASSERT_NE(red.kill, nullptr) << c.what;
+        EXPECT_EQ(red.live_after, c.live) << c.what;
+      }
+    }
+  }
 }
 
 TEST(FieldLoop, MultipleAdjacentFieldLoops) {

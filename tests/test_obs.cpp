@@ -372,6 +372,32 @@ TEST(ObsPipeline, EveryFieldLoopHasAClassificationEntry) {
     lines.insert(e->loc.line);
   }
   EXPECT_GE(static_cast<int>(lines.size()), rep.field_loops);
+
+  // Reduction-shaped scalars: the per-point `acc` is private, `resmax`
+  // a true reduction, each with its reason.
+  int private_acc = 0, resmax = 0;
+  for (const auto* e :
+       f.obs.provenance.of_kind(obs::DecisionKind::ScalarClassification)) {
+    if (e->subject.ends_with("scalar 'acc'")) {
+      ++private_acc;
+      EXPECT_EQ(e->decision, "private");
+      EXPECT_TRUE(e->rationale.starts_with("killed at line "))
+          << e->rationale;
+      EXPECT_TRUE(e->rationale.ends_with(", dead after the nest"))
+          << e->rationale;
+    } else if (e->subject.ends_with("scalar 'resmax'")) {
+      ++resmax;
+      EXPECT_EQ(e->decision, "reduction");
+      EXPECT_EQ(e->rationale, "not killed in the nest");
+    }
+  }
+  EXPECT_GT(private_acc, 0);
+  EXPECT_EQ(resmax, 1);
+  const std::string text = f.obs.provenance.text_report();
+  EXPECT_NE(text.find("scalar 'resmax' -> reduction (not killed in the nest)"),
+            std::string::npos);
+  EXPECT_NE(text.find("scalar 'acc' -> private (killed at line "),
+            std::string::npos);
 }
 
 TEST(ObsPipeline, EveryCombinedSyncListsItsMergedRegions) {

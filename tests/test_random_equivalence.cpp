@@ -4,8 +4,12 @@
 // Each seed generates a frame program over a handful of status arrays
 // with random stencil offsets (distances 1-2, any direction mix,
 // including self-dependent loops), random loop counts and random
-// boundary sections; the pre-compiler output runs on 1-6 simulated
-// ranks and must match the sequential interpreter bitwise.
+// boundary sections. Some stencils sum through a loop-private
+// accumulator; some phases end in a true max or sum reduction whose
+// result is printed. The pre-compiler output runs on 1-6 simulated
+// ranks and must match the sequential interpreter bitwise, and must
+// communicate exactly the true reductions: one AllReduce each, none
+// for a private accumulator.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -22,12 +26,19 @@ namespace {
 struct GeneratedProgram {
   std::string source;
   std::vector<std::string> arrays;
+  int true_reductions = 0;  // max/sum nests whose result is printed
 };
 
 GeneratedProgram generate(unsigned seed) {
   std::mt19937 rng(seed);
   const auto pick = [&](int lo, int hi) {
     return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  // Scalar features draw from their own stream so the stencils of a
+  // seed stay the same with or without them.
+  std::mt19937 scalar_rng(seed + 7919u);
+  const auto scalar_pick = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(scalar_rng);
   };
 
   const int n_arrays = pick(2, 4);
@@ -39,6 +50,7 @@ GeneratedProgram generate(unsigned seed) {
   for (const auto& a : arrays) os << ' ' << a;
   os << "\nprogram rnd\nparameter (n = 14, m = 11)\n";
   for (const auto& a : arrays) os << "real " << a << "(n, m)\n";
+  os << "real acc, smax, scnt\n";
   os << "integer i, j, it\n";
 
   // Initialization.
@@ -50,6 +62,7 @@ GeneratedProgram generate(unsigned seed) {
   os << "  end do\nend do\n";
 
   // Frame loop with random update phases.
+  GeneratedProgram out;
   os << "do it = 1, 3\n";
   const int n_loops = pick(3, 6);
   for (int l = 0; l < n_loops; ++l) {
@@ -64,10 +77,9 @@ GeneratedProgram generate(unsigned seed) {
       continue;
     }
     // Stencil update over the interior (margin 2 covers distance 2).
-    os << "  do i = 3, n - 2\n    do j = 3, m - 2\n";
-    os << "      " << dst << "(i, j) = 0.6 * " << dst << "(i, j)";
-    const int terms = pick(1, 3);
-    for (int t = 0; t < terms; ++t) {
+    std::vector<std::string> terms;
+    const int n_terms = pick(1, 3);
+    for (int t = 0; t < n_terms; ++t) {
       const auto& src = arrays[static_cast<std::size_t>(
           pick(0, n_arrays - 1))];
       int di = pick(-2, 2);
@@ -78,18 +90,66 @@ GeneratedProgram generate(unsigned seed) {
       if (src == dst && di != 0 && dj != 0) {
         (pick(0, 1) == 0 ? di : dj) = 0;
       }
-      os << " &\n        + 0.05 * " << src << "(i";
-      if (di > 0) os << " + " << di;
-      if (di < 0) os << " - " << -di;
-      os << ", j";
-      if (dj > 0) os << " + " << dj;
-      if (dj < 0) os << " - " << -dj;
-      os << ")";
+      std::ostringstream term;
+      term << "0.05 * " << src << "(i";
+      if (di > 0) term << " + " << di;
+      if (di < 0) term << " - " << -di;
+      term << ", j";
+      if (dj > 0) term << " + " << dj;
+      if (dj < 0) term << " - " << -dj;
+      term << ")";
+      terms.push_back(term.str());
     }
-    os << "\n    end do\n  end do\n";
+    os << "  do i = 3, n - 2\n    do j = 3, m - 2\n";
+    if (scalar_pick(0, 1) == 0) {
+      os << "      " << dst << "(i, j) = 0.6 * " << dst << "(i, j)";
+      for (const auto& t : terms) os << " &\n        + " << t;
+      os << "\n";
+    } else {
+      // The same update through a per-point accumulator killed at the
+      // top of every iteration: private, so it needs no communication.
+      os << "      acc = 0.0\n";
+      for (const auto& t : terms) os << "      acc = acc + " << t << "\n";
+      os << "      " << dst << "(i, j) = 0.6 * " << dst << "(i, j) + acc\n";
+    }
+    os << "    end do\n  end do\n";
+
+    // Now and then a true reduction over the field, printed after its
+    // nest. Both are exact in any order, so every rank count prints the
+    // sequential value.
+    const auto& probe = arrays[static_cast<std::size_t>(
+        scalar_pick(0, n_arrays - 1))];
+    switch (scalar_pick(0, 2)) {
+      case 0:
+        os << "  smax = 0.0\n  do i = 1, n\n    do j = 1, m\n"
+           << "      smax = max(smax, abs(" << probe << "(i, j)))\n"
+           << "    end do\n  end do\n  write(6, *) smax\n";
+        ++out.true_reductions;
+        break;
+      case 1:
+        os << "  scnt = 0.0\n  do i = 1, n\n    do j = 1, m\n"
+           << "      if (" << probe << "(i, j) .gt. 0.2) then\n"
+           << "        scnt = scnt + 1.0\n      end if\n"
+           << "    end do\n  end do\n  write(6, *) scnt\n";
+        ++out.true_reductions;
+        break;
+      default:
+        break;
+    }
   }
   os << "end do\nend\n";
-  return {os.str(), arrays};
+  out.source = os.str();
+  out.arrays = std::move(arrays);
+  return out;
+}
+
+std::size_t count_allreduces(const std::string& src) {
+  std::size_t count = 0, pos = 0;
+  while ((pos = src.find("call mpi_allreduce(", pos)) != std::string::npos) {
+    ++count;
+    ++pos;
+  }
+  return count;
 }
 
 class RandomEquivalence : public ::testing::TestWithParam<unsigned> {};
@@ -109,7 +169,13 @@ TEST_P(RandomEquivalence, SpmdMatchesSequentialBitwise) {
     ASSERT_FALSE(diags.has_errors()) << diags.dump();
     dirs.partition = partition::PartitionSpec::parse(part);
     auto parallel = parallelize(prog.source, dirs);
+    // Necessary and sufficient communication for the scalars: one
+    // AllReduce per true reduction, none per private accumulator.
+    EXPECT_EQ(count_allreduces(parallel->parallel_source),
+              static_cast<std::size_t>(prog.true_reductions))
+        << "partition " << part;
     auto par = parallel->run(machine);
+    EXPECT_EQ(par.rank0_output, seq.output) << "partition " << part;
     for (const auto& name : prog.arrays) {
       const auto& s = seq.arrays.at(name);
       const auto& g = par.gathered.at(name);

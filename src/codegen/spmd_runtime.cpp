@@ -52,65 +52,61 @@ struct RankRuntime {
 
   /// One aggregated halo exchange (a combined synchronization point).
   /// Dimensions are processed in ascending order so corner ghosts fill
-  /// transitively; within a dimension, the low side is exchanged before
-  /// the high side. Only directions that carry layers move: a paired
-  /// sendrecv when both peers need layers, a one-way send or recv when
-  /// one does, nothing when neither does. The widths are static, so
-  /// both peers take the same branch.
+  /// transitively. Within a dimension the exchange has two phases, the
+  /// MPI_Isend/Irecv/Waitall idiom on buffered sends: first send to
+  /// every neighbor that needs layers, then receive from every neighbor
+  /// we need layers from. No rank waits on a chain of other pairs: a
+  /// dimension costs each rank its own sends plus, at most, the wait
+  /// for a neighbor's first send. The phases do not interfere: packing
+  /// reads only owned layers of the dimension (the analysis rejects
+  /// blocks thinner than a halo) and unpacking writes only its ghost
+  /// layers. A direction with no layers either way moves nothing; the
+  /// widths are static, so both peers agree on which messages exist.
   void halo_exchange(const Stmt& s) {
     flush_compute();
     const auto& sg = mine();
     for (int dim = 0; dim < meta->grid.rank(); ++dim) {
       const auto du = static_cast<std::size_t>(dim);
       if (meta->spec.cuts[du] <= 1) continue;
+      // One tag per (sync point, dim), shared by both directions and
+      // both peers; the restructurer registers it so traces can
+      // attribute the message. Hand-built statements use the dimension.
+      const int tag = du < s.comm_tags.size() && s.comm_tags[du] >= 0
+                          ? s.comm_tags[du]
+                          : dim;
+      // Peer on the high side needs our top h.lo layers (it reads
+      // v(i - k)); peer on the low side needs our bottom h.hi.
       for (const int dir : {-1, +1}) {
         const auto peer = part->neighbor(comm->rank(), dim, dir);
         if (!peer) continue;
-        // Peer on the high side needs our top h.lo layers (it reads
-        // v(i - k)); peer on the low side needs our bottom h.hi. We
-        // need the opposite widths from the peer.
-        const auto send_w = [&](const fortran::HaloSpec& h) {
-          return dir > 0 ? h.lo_width[du] : h.hi_width[du];
-        };
-        const auto recv_w = [&](const fortran::HaloSpec& h) {
-          return dir > 0 ? h.hi_width[du] : h.lo_width[du];
-        };
-        bool sends = false, recvs = false;
-        for (const auto& h : s.halo_arrays) {
-          sends = sends || send_w(h) > 0;
-          recvs = recvs || recv_w(h) > 0;
-        }
-        if (!sends && !recvs) continue;
         std::vector<double> outbox;
+        bool sends = false;
         for (const auto& h : s.halo_arrays) {
-          const int w = send_w(h);
+          const int w = dir > 0 ? h.lo_width[du] : h.hi_width[du];
           if (w <= 0) continue;
-          auto& av = array(h.array);
+          sends = true;
           const long long base = dir > 0 ? sg.hi[du] - w + 1 : sg.lo[du];
-          pack_slab(av, dim, base, base + w - 1, outbox);
+          pack_slab(array(h.array), dim, base, base + w - 1, outbox);
         }
-        // One logical exchange per (dimension, neighbor pair): both
-        // peers must use the same tag. The restructurer assigns a
-        // registry tag per (sync point, dim) so traces can attribute the
-        // message; fall back to the dimension for hand-built statements.
-        const int tag = du < s.comm_tags.size() && s.comm_tags[du] >= 0
-                            ? s.comm_tags[du]
-                            : dim;
-        std::vector<double> inbox;
-        if (sends && recvs) {
-          inbox = comm->sendrecv(*peer, tag, std::move(outbox));
-        } else if (sends) {
-          comm->send(*peer, tag, std::move(outbox));
-        } else {
-          inbox = comm->recv(*peer, tag);
-        }
+        if (sends) comm->send(*peer, tag, std::move(outbox));
+      }
+      // We need the opposite widths from each peer.
+      for (const int dir : {-1, +1}) {
+        const auto peer = part->neighbor(comm->rank(), dim, dir);
+        if (!peer) continue;
+        const bool recvs = std::any_of(
+            s.halo_arrays.begin(), s.halo_arrays.end(),
+            [&](const fortran::HaloSpec& h) {
+              return (dir > 0 ? h.hi_width[du] : h.lo_width[du]) > 0;
+            });
+        if (!recvs) continue;
+        const auto inbox = comm->recv(*peer, tag);
         std::size_t pos = 0;
         for (const auto& h : s.halo_arrays) {
-          const int w = recv_w(h);
+          const int w = dir > 0 ? h.hi_width[du] : h.lo_width[du];
           if (w <= 0) continue;
-          auto& av = array(h.array);
           const long long base = dir > 0 ? sg.hi[du] + 1 : sg.lo[du] - w;
-          unpack_slab(av, dim, base, base + w - 1, inbox, pos);
+          unpack_slab(array(h.array), dim, base, base + w - 1, inbox, pos);
         }
         if (pos != inbox.size()) {
           throw autocfd::CompileError("halo exchange size mismatch");

@@ -1,5 +1,8 @@
 #include "autocfd/core/pipeline.hpp"
 
+#include <algorithm>
+#include <set>
+
 #include "autocfd/fortran/parser.hpp"
 #include "autocfd/fortran/printer.hpp"
 
@@ -9,6 +12,48 @@ namespace {
 
 using obs::ObsContext;
 using PhaseTimer = obs::PassProfiler::PhaseTimer;
+
+/// Every block must own at least as many layers along a cut dimension
+/// as it sends to a neighbor there. A halo exchange posts all sends of
+/// a dimension before any receive, so a thinner block would have to
+/// forward ghost cells it has not received yet. Reported once per
+/// (array, dimension).
+void check_block_extents(const sync::SyncPlan& plan,
+                         const partition::Grid& grid,
+                         const partition::PartitionSpec& spec,
+                         DiagnosticEngine& diags) {
+  std::set<std::pair<std::string, int>> reported;
+  for (const auto& point : plan.points) {
+    for (const auto& h : sync::SyncPlan::halos_for(point)) {
+      for (int d = 0; d < grid.rank(); ++d) {
+        const auto du = static_cast<std::size_t>(d);
+        const int cuts = spec.cuts[du];
+        if (cuts <= 1 || reported.count({h.array, d}) > 0) continue;
+        const auto blocks =
+            partition::BlockPartition::split_extent(grid.extents[du], cuts);
+        for (int c = 0; c < cuts; ++c) {
+          const auto& [lo, hi] = blocks[static_cast<std::size_t>(c)];
+          const long long extent = hi - lo + 1;
+          // The high neighbor reads our top lo-width layers, the low
+          // neighbor our bottom hi-width layers.
+          const int width = std::max(c + 1 < cuts ? h.lo_width[du] : 0,
+                                     c > 0 ? h.hi_width[du] : 0);
+          if (extent >= width) continue;
+          diags.error({}, "array '" + h.array + "' needs a halo of width " +
+                              std::to_string(width) + " along dimension " +
+                              std::to_string(d + 1) + ", but partition " +
+                              spec.str() + " gives block " +
+                              std::to_string(c + 1) + " of that dimension " +
+                              "an extent of " + std::to_string(extent) +
+                              "; a block must own every layer it sends "
+                              "(choose fewer cuts along that dimension)");
+          reported.insert({h.array, d});
+          break;
+        }
+      }
+    }
+  }
+}
 
 struct Analysis {
   std::map<std::string, std::vector<ir::FieldLoop>> loops_by_unit;
@@ -114,6 +159,7 @@ struct Analysis {
                         "those dimensions)");
       }
     }
+    check_block_extents(a.plan, dirs.grid, a.spec, diags);
     return a;
   }
 

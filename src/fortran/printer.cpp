@@ -173,7 +173,7 @@ class StmtPrinter {
         for (const auto& h : s.halo_arrays) {
           os_ << ", " << h.array;
         }
-        os_ << ")  ! aggregated mpi_sendrecv per neighbor\n";
+        os_ << ")  ! aggregated mpi_isend/mpi_recv per neighbor\n";
         return;
       }
       case StmtKind::AllReduce:

@@ -15,9 +15,11 @@
 //
 // The cost model mirrors the simulated runtime exactly:
 //   * halo exchanges: per combined sync point, per cut dimension, per
-//     direction with a neighbor, one sendrecv per rank whose payload
-//     packs every member array's slab across the *full local
-//     allocation* (ghost layers included) of the other dimensions;
+//     direction with a neighbor that needs layers, one send per rank
+//     whose payload packs every member array's slab across the *full
+//     local allocation* (ghost layers included) of the other
+//     dimensions. Each rank posts all sends of a dimension before its
+//     receives, so it pays its own sends and no chain of other pairs;
 //   * pipelined sweeps: the flow half of a mirror-image decomposition
 //     serializes the blocks along the cut dimension — B x the loop's
 //     per-rank compute plus (B-1) hand-offs, each paying one latency

@@ -6,6 +6,8 @@
 //     byte-identical, so CI can diff plans.
 //   * The communication model is calibrated: per halo site, the
 //     model's predicted transfer cost matches the measured bill.
+//   * The measured gain of the chosen plan over the static choice
+//     tracks the predicted gain.
 //   * Planning is a fixed point: re-planning from a planned run's
 //     report chooses the same configuration on both case studies.
 //   * The planner never picks a candidate it predicts slower than the
@@ -201,6 +203,28 @@ TEST(Planner, NeverPredictsChosenSlowerThanStatic) {
     EXPECT_TRUE(saw_chosen) << app.name;
     EXPECT_TRUE(saw_static) << app.name;
   }
+}
+
+// The model prices each rank's own sends; the runtime posts every send
+// of a dimension before any receive, so it pays exactly that. On the
+// fig_planner aerofoil (40x20x8, clean) the measured static/planned
+// gain therefore tracks the predicted one.
+TEST(Planner, MeasuredGainTracksPrediction) {
+  cfd::AerofoilParams p;
+  p.n1 = 40;
+  p.n2 = 20;
+  p.n3 = 8;
+  p.frames = 2;
+  const App app{"aerofoil", cfd::aerofoil_source(p)};
+  const auto static_run = run_profiled(app);
+  const auto plan = plan_from(app, static_run);
+  const auto overrides = plan.to_overrides("gain-test");
+  const auto planned_run = run_profiled(app, &overrides);
+  ASSERT_GT(plan.predicted_s, 0.0);
+  const double predicted = plan.static_predicted_s / plan.predicted_s;
+  const double measured = static_run.run.elapsed / planned_run.run.elapsed;
+  EXPECT_NEAR(measured, predicted, 0.10 * predicted)
+      << plan.static_partition << " -> " << plan.partition;
 }
 
 TEST(Planner, OverridesLandInProvenance) {

@@ -310,8 +310,68 @@ end
 )";
 
 TEST(SpmdEquivalence, DependencyDistanceTwo) {
-  for (const auto* part : {"2x1", "4x1"}) {
+  // 10x1 leaves blocks exactly as wide as the halo.
+  for (const auto* part : {"2x1", "4x1", "10x1"}) {
     expect_equivalent(kDistance2, part);
+  }
+}
+
+// A halo exchange posts every send of a dimension before any receive,
+// so a block thinner than a halo it sends would forward ghost cells it
+// has not received yet. The analysis rejects such a partition.
+TEST(SpmdEquivalence, BlockThinnerThanItsHaloIsAnError) {
+  DiagnosticEngine diags;
+  auto dirs = Directives::extract(kDistance2, diags);
+  ASSERT_FALSE(diags.has_errors()) << diags.dump();
+  dirs.partition = partition::PartitionSpec::parse("20x1");
+  try {
+    (void)parallelize(kDistance2, dirs);
+    FAIL() << "20x1 gives 1-wide blocks to a distance-2 stencil";
+  } catch (const CompileError& err) {
+    const std::string msg = err.what();
+    EXPECT_NE(msg.find("array 'v' needs a halo of width 2 along dimension 1"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("partition 20x1"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("an extent of 1"), std::string::npos) << msg;
+  }
+  // The planner's analysis sees the same verdict.
+  EXPECT_THROW((void)analyze_for_plan(kDistance2, dirs), CompileError);
+}
+
+// Hand-built 4x1 program whose only statement is one width-1 halo
+// exchange. Each rank pays for its own sends and waits at most for a
+// neighbor's first send, never for a chain of earlier pairs: rank 0
+// sends once and its peer's message is already there; the others send
+// twice, and rank 3's message from rank 2 departs after rank 2's first.
+TEST(SpmdSchedule, HaloExchangeCostsEachRankItsOwnSends) {
+  auto file = fortran::parse_source(R"(
+program halo
+real v(acfd_lo1-1:acfd_hi1+1, 8)
+integer acfd_lo1
+integer acfd_hi1
+integer acfd_lo2
+integer acfd_hi2
+common /acfdrt/ acfd_lo1, acfd_hi1, acfd_lo2, acfd_hi2
+end
+)");
+  auto halo = fortran::make_stmt(fortran::StmtKind::HaloExchange);
+  halo->halo_arrays = {fortran::HaloSpec{"v", {1, 0}, {1, 0}}};
+  file.units.at(0).body.push_back(std::move(halo));
+  fortran::assign_stmt_ids(file);
+
+  codegen::SpmdMeta meta;
+  meta.grid = partition::Grid{{16, 8}};
+  meta.spec = partition::PartitionSpec::parse("4x1");
+  const auto machine = mp::MachineConfig::pentium_ethernet_1999();
+  const auto run = codegen::run_spmd(file, meta, machine);
+
+  const double m = machine.message_time(8 * 8);  // one 8-point column
+  ASSERT_EQ(run.cluster.ranks.size(), 4u);
+  for (std::size_t r = 0; r < 4; ++r) {
+    const auto& st = run.cluster.ranks[r];
+    EXPECT_EQ(st.compute_time, 0.0) << r;
+    EXPECT_EQ(st.total_time(), (r == 0 ? 1 : 2) * m) << "rank " << r;
   }
 }
 

@@ -21,6 +21,7 @@
 #include "autocfd/fortran/parser.hpp"
 #include "autocfd/ledger/ledger.hpp"
 #include "autocfd/ledger/record_builders.hpp"
+#include "autocfd/obs/json_util.hpp"
 #include "autocfd/prof/source_profile.hpp"
 
 namespace bench_util {
@@ -58,29 +59,20 @@ inline void write_json_report(const std::string& path) {
   bool first = true;
   auto nit = json_records().begin();
   auto sit = json_string_records().begin();
-  const auto emit_sep = [&] {
-    if (!first) os << ",\n";
-    first = false;
-  };
   while (nit != json_records().end() ||
          sit != json_string_records().end()) {
     const bool take_num =
         sit == json_string_records().end() ||
         (nit != json_records().end() && nit->first < sit->first);
+    if (!first) os << ",\n";
+    first = false;
     if (take_num) {
-      emit_sep();
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "%.17g", nit->second);
-      os << "  \"" << nit->first << "\": " << buf;
+      os << "  \"" << autocfd::obs::json_escape(nit->first)
+         << "\": " << autocfd::obs::json_number(nit->second);
       ++nit;
     } else {
-      emit_sep();
-      std::string escaped;
-      for (const char ch : sit->second) {
-        if (ch == '"' || ch == '\\') escaped += '\\';
-        escaped += ch;
-      }
-      os << "  \"" << sit->first << "\": \"" << escaped << "\"";
+      os << "  \"" << autocfd::obs::json_escape(sit->first) << "\": \""
+         << autocfd::obs::json_escape(sit->second) << "\"";
       ++sit;
     }
   }

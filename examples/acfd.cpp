@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
   std::string metrics_path;
   std::string report_path;
   bool want_report = false;
-  auto report_format = prof::ReportFormat::Text;
+  auto report_format = obs::Format::Text;
   int nprocs = 0;
   auto strategy = sync::CombineStrategy::Min;
   bool run = false, analyze_only = false;
@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
   auto engine = interp::EngineKind::Bytecode;
   std::string ledger_path;
   bool want_history = false;
-  auto history_format = ledger::HistoryFormat::Text;
+  auto history_format = obs::Format::Text;
   std::string history_out_path, history_bench_dir;
 
   for (int i = has_input ? 2 : 1; i < argc; ++i) {
@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--report" || arg.rfind("--report=", 0) == 0) {
       const std::string fmt =
           arg.size() > 8 && arg[8] == '=' ? arg.substr(9) : "";
-      const auto parsed = prof::parse_report_format(fmt);
+      const auto parsed = obs::parse_format(fmt);
       if (!parsed) {
         std::fprintf(stderr,
                      "acfd: unknown report format '%s' (expected json, "
@@ -276,7 +276,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--history" || arg.rfind("--history=", 0) == 0) {
       const std::string fmt =
           arg.size() > 9 && arg[9] == '=' ? arg.substr(10) : "";
-      const auto parsed = ledger::parse_history_format(fmt);
+      const auto parsed = obs::parse_format(fmt);
       if (!parsed) {
         std::fprintf(stderr,
                      "acfd: unknown history format '%s' (expected text, "
@@ -317,12 +317,7 @@ int main(int argc, char** argv) {
     // --report-out alone implies --report; pick the format from the
     // file extension.
     want_report = true;
-    const auto dot = report_path.rfind('.');
-    const std::string ext =
-        dot == std::string::npos ? "" : report_path.substr(dot + 1);
-    if (ext == "json") report_format = prof::ReportFormat::Json;
-    else if (ext == "html" || ext == "htm")
-      report_format = prof::ReportFormat::Html;
+    report_format = obs::format_for_path(report_path);
   }
   if (want_report) run = true;  // a run report needs a run
   if (want_report && explain_json && report_path.empty()) {
@@ -497,9 +492,9 @@ int main(int argc, char** argv) {
       if (spec->title.empty()) {
         spec->title = std::filesystem::path(input_path).stem().string();
       }
-      auto format = sweep::SweepFormat::Text;
+      auto format = obs::format_for_path(sweep_out_path);
       if (sweep_format_set) {
-        const auto parsed = sweep::parse_sweep_format(sweep_format_arg);
+        const auto parsed = obs::parse_format(sweep_format_arg);
         if (!parsed) {
           std::fprintf(stderr,
                        "acfd: unknown sweep format '%s' (expected json, "
@@ -508,13 +503,6 @@ int main(int argc, char** argv) {
           return 2;
         }
         format = *parsed;
-      } else if (!sweep_out_path.empty()) {
-        const auto dot = sweep_out_path.rfind('.');
-        const std::string ext =
-            dot == std::string::npos ? "" : sweep_out_path.substr(dot + 1);
-        if (ext == "json") format = sweep::SweepFormat::Json;
-        else if (ext == "html" || ext == "htm")
-          format = sweep::SweepFormat::Html;
       }
       sweep::SweepOptions sopts;
       sopts.watchdog = watchdog;

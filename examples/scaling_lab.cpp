@@ -48,8 +48,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", err.c_str());
       return 1;
     }
-    const auto format =
-        sweep::parse_sweep_format(argc >= 4 ? argv[3] : "text");
+    const auto format = obs::parse_format(argc >= 4 ? argv[3] : "text");
     if (!format) {
       usage();
       return 2;
@@ -104,24 +103,18 @@ int main(int argc, char** argv) {
     const auto result = sweep::run_sweep(src, dirs, spec);
 
     std::ostringstream os;
-    result.report.write_text(os);
+    sweep::write_scaling_report(result.report, obs::Format::Text, os);
     std::printf("%s", os.str().c_str());
 
     if (!out.empty()) {
-      auto format = sweep::SweepFormat::Text;
-      const auto dot = out.rfind('.');
-      const std::string ext =
-          dot == std::string::npos ? "" : out.substr(dot + 1);
-      if (ext == "json") format = sweep::SweepFormat::Json;
-      else if (ext == "html" || ext == "htm")
-        format = sweep::SweepFormat::Html;
       std::ofstream ofs(out);
       if (!ofs) {
         std::fprintf(stderr, "error: cannot open %s for writing\n",
                      out.c_str());
         return 1;
       }
-      sweep::write_scaling_report(result.report, format, ofs);
+      sweep::write_scaling_report(result.report, obs::format_for_path(out),
+                                  ofs);
       std::printf("\nwrote %s\n", out.c_str());
     }
   } catch (const std::exception& e) {

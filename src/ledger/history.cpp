@@ -2,23 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <ostream>
 #include <set>
 
 #include "autocfd/ledger/sentinel.hpp"
-#include "autocfd/obs/html_util.hpp"
 #include "autocfd/obs/json_util.hpp"
 
 namespace autocfd::ledger {
-
-std::optional<HistoryFormat> parse_history_format(std::string_view name) {
-  if (name.empty() || name == "text") return HistoryFormat::Text;
-  if (name == "json") return HistoryFormat::Json;
-  if (name == "html") return HistoryFormat::Html;
-  return std::nullopt;
-}
 
 std::string sparkline(const std::vector<double>& values, int width) {
   static const char kLevels[] = " .:-=+*#%@";
@@ -104,32 +95,31 @@ SeriesStats stats_of(const std::vector<double>& values) {
   return s;
 }
 
-void write_text(const std::vector<GroupView>& groups, std::ostream& os,
-                const HistoryOptions& options) {
-  if (groups.empty()) {
-    os << "history: no records\n";
-    return;
-  }
+obs::Document history_document(const std::vector<GroupView>& groups,
+                               const HistoryOptions& options) {
+  obs::Document doc;
+  doc.title = "acfd run history";
+  if (groups.empty()) doc.text("no records");
   for (const auto& group : groups) {
     const auto& head = *group.newest;
-    os << "== " << head.kind << " " << head.input << " [" << head.engine
-       << (head.engine.empty() ? "" : ", ") << head.build_type << ", "
-       << head.machine << "] - " << group.records.size() << " record(s)\n";
-    char line[256];
-    std::snprintf(line, sizeof line, "   %-36s %10s %10s %10s %10s  %s\n",
-                  "metric", "first", "last", "min", "max", "trend");
-    os << line;
+    doc.heading(head.kind + " " + head.input + " [" + head.engine +
+                (head.engine.empty() ? "" : ", ") + head.build_type + ", " +
+                head.machine + "] - " + std::to_string(group.records.size()) +
+                " record(s)");
+    auto& table = doc.table({{"metric", true}, {"first"}, {"last"}, {"min"},
+                             {"max"}, {"trend", true}});
     for (const auto& [metric, values] : group.series) {
       if (!options.all_metrics && !is_headline(metric)) continue;
       const auto s = stats_of(values);
-      std::snprintf(line, sizeof line,
-                    "   %-36s %10.5g %10.5g %10.5g %10.5g  [%s]\n",
-                    metric.c_str(), s.first, s.last, s.lo, s.hi,
-                    sparkline(values, options.spark_width).c_str());
-      os << line;
+      std::string trend = "[";
+      trend += sparkline(values, options.spark_width);
+      trend += ']';
+      table.add_row({metric, obs::fmt_number(s.first),
+                     obs::fmt_number(s.last), obs::fmt_number(s.lo),
+                     obs::fmt_number(s.hi), trend});
     }
-    os << "\n";
   }
+  return doc;
 }
 
 void write_json(const std::vector<GroupView>& groups, std::ostream& os) {
@@ -162,62 +152,15 @@ void write_json(const std::vector<GroupView>& groups, std::ostream& os) {
   os << "\n  ]\n}\n";
 }
 
-void write_html(const std::vector<GroupView>& groups, std::ostream& os,
-                const HistoryOptions& options) {
-  using obs::html_escape;
-  os << "<!DOCTYPE html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n"
-        "<title>acfd run history</title>\n<style>\n"
-        "body { font-family: sans-serif; margin: 2em; color: #222; }\n"
-        "h2 { border-bottom: 1px solid #ccc; padding-bottom: 0.2em; }\n"
-        "table { border-collapse: collapse; margin: 0.6em 0 1.6em; }\n"
-        "th, td { padding: 0.25em 0.9em; text-align: right; }\n"
-        "th { background: #f0f0f0; }\n"
-        "td.metric, th.metric { text-align: left; font-family: monospace; }\n"
-        "td.spark { font-family: monospace; white-space: pre;"
-        " letter-spacing: 0.05em; background: #fafafa; }\n"
-        "tr:nth-child(even) { background: #f7f7fb; }\n"
-        ".meta { color: #777; font-size: 0.9em; }\n"
-        "</style>\n</head>\n<body>\n<h1>acfd run history</h1>\n";
-  if (groups.empty()) {
-    os << "<p>No records.</p>\n";
-  }
-  for (const auto& group : groups) {
-    const auto& head = *group.newest;
-    os << "<h2>" << html_escape(head.kind) << " &middot; "
-       << html_escape(head.input) << "</h2>\n<p class=\"meta\">engine "
-       << html_escape(head.engine.empty() ? "-" : head.engine)
-       << " &middot; " << html_escape(head.build_type) << " &middot; "
-       << html_escape(head.machine) << " &middot; " << group.records.size()
-       << " record(s)</p>\n<table>\n<tr><th class=\"metric\">metric</th>"
-          "<th>first</th><th>last</th><th>min</th><th>max</th>"
-          "<th>trend</th></tr>\n";
-    for (const auto& [metric, values] : group.series) {
-      if (!options.all_metrics && !is_headline(metric)) continue;
-      const auto s = stats_of(values);
-      char cells[160];
-      std::snprintf(cells, sizeof cells,
-                    "<td>%.5g</td><td>%.5g</td><td>%.5g</td><td>%.5g</td>",
-                    s.first, s.last, s.lo, s.hi);
-      os << "<tr><td class=\"metric\">" << html_escape(metric) << "</td>"
-         << cells << "<td class=\"spark\">"
-         << html_escape(sparkline(values, options.spark_width))
-         << "</td></tr>\n";
-    }
-    os << "</table>\n";
-  }
-  os << "</body>\n</html>\n";
-}
-
 }  // namespace
 
-void write_history(const std::vector<RunRecord>& records,
-                   HistoryFormat format, std::ostream& os,
-                   const HistoryOptions& options) {
+void write_history(const std::vector<RunRecord>& records, obs::Format format,
+                   std::ostream& os, const HistoryOptions& options) {
   const auto groups = build_groups(records);
-  switch (format) {
-    case HistoryFormat::Text: write_text(groups, os, options); break;
-    case HistoryFormat::Json: write_json(groups, os); break;
-    case HistoryFormat::Html: write_html(groups, os, options); break;
+  if (format == obs::Format::Json) {
+    write_json(groups, os);
+  } else {
+    obs::render(history_document(groups, options), format, os);
   }
 }
 

@@ -6,19 +6,13 @@
 #pragma once
 
 #include <iosfwd>
-#include <optional>
-#include <string_view>
+#include <string>
 #include <vector>
 
 #include "autocfd/ledger/ledger.hpp"
+#include "autocfd/obs/document.hpp"
 
 namespace autocfd::ledger {
-
-enum class HistoryFormat { Text, Json, Html };
-
-/// Parses "text" / "json" / "html"; empty selects Text.
-[[nodiscard]] std::optional<HistoryFormat> parse_history_format(
-    std::string_view name);
 
 struct HistoryOptions {
   /// Sparklines sample the last `spark_width` records of a series.
@@ -29,10 +23,10 @@ struct HistoryOptions {
   bool all_metrics = false;
 };
 
-/// Renders the records (ledger order) in the requested format.
-void write_history(const std::vector<RunRecord>& records,
-                   HistoryFormat format, std::ostream& os,
-                   const HistoryOptions& options = {});
+/// Renders the records (ledger order): JSON with the full series of
+/// every group, text and HTML as one obs::Document of trend tables.
+void write_history(const std::vector<RunRecord>& records, obs::Format format,
+                   std::ostream& os, const HistoryOptions& options = {});
 
 /// The ASCII sparkline the views share: one character per sample,
 /// " .:-=+*#%@" from the series minimum to its maximum (a flat series

@@ -42,7 +42,7 @@ struct RunRecord {
   /// Provenance of the record: "run" (acfd), "bench" (a bench binary's
   /// sidecar), "sweep-cell" (one cell of a scaling sweep).
   std::string kind;
-  /// Program or bench identity ("aerofoil", "fig_overlap", ...).
+  /// Program or bench identity ("aerofoil", "fig_recovery", ...).
   std::string input;
 
   // meta.* — the measurement configuration.

@@ -51,7 +51,7 @@ struct RunMeta {
 
 /// Reads one BENCH_*.json sidecar file into a record. The record's
 /// input is the file's stem with the "BENCH_" prefix stripped
-/// ("BENCH_fig_overlap.json" -> "fig_overlap"). Returns nullopt with a
+/// ("BENCH_fig_recovery.json" -> "fig_recovery"). Returns nullopt with a
 /// diagnostic when the file is unreadable or not a flat JSON object.
 [[nodiscard]] std::optional<RunRecord> record_from_sidecar_file(
     const std::string& path, std::string* error);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "autocfd/core/pipeline.hpp"
+#include "autocfd/obs/document.hpp"
 #include "autocfd/prof/comm_matrix.hpp"
 #include "autocfd/prof/source_profile.hpp"
 #include "autocfd/trace/critical_path.hpp"
@@ -99,21 +100,14 @@ struct ReportOptions {
                                          const obs::ProvenanceLog* provenance,
                                          const ReportOptions& options);
 
-enum class ReportFormat { Json, Text, Html };
-
-/// Parses "json" / "text" / "html"; empty selects Text.
-[[nodiscard]] std::optional<ReportFormat> parse_report_format(
-    std::string_view name);
-
 /// Stable-schema JSON; key order fixed, deterministic for equal runs.
 void write_report_json(const RunReport& report, std::ostream& os);
-/// Terminal view: summary, hot loops, per-rank decomposition with an
+/// The human view: summary, hot loops, per-rank decomposition with an
 /// ASCII timeline strip, communication matrix and site table.
-void write_report_text(const RunReport& report, std::ostream& os);
-/// Self-contained single-file HTML (inline CSS, no scripts).
-void write_report_html(const RunReport& report, std::ostream& os);
+[[nodiscard]] obs::Document report_document(const RunReport& report);
 
-void write_report(const RunReport& report, ReportFormat format,
+/// JSON via write_report_json, text and HTML via report_document.
+void write_report(const RunReport& report, obs::Format format,
                   std::ostream& os);
 
 }  // namespace autocfd::prof

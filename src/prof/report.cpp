@@ -4,15 +4,15 @@
 #include <cmath>
 #include <sstream>
 
-#include "autocfd/obs/html_util.hpp"
 #include "autocfd/obs/json_util.hpp"
 
 namespace autocfd::prof {
 
 namespace {
 
-using obs::html_bar;
-using obs::html_escape;
+using obs::fmt_percent;
+using obs::fmt_ratio;
+using obs::fmt_seconds;
 using obs::json_escape;
 using obs::json_number;
 
@@ -98,13 +98,6 @@ RunReport build_run_report(const core::ParallelProgram& program,
     }
   }
   return report;
-}
-
-std::optional<ReportFormat> parse_report_format(std::string_view name) {
-  if (name.empty() || name == "text") return ReportFormat::Text;
-  if (name == "json") return ReportFormat::Json;
-  if (name == "html") return ReportFormat::Html;
-  return std::nullopt;
 }
 
 // --------------------------------------------------------------- JSON
@@ -261,38 +254,9 @@ void write_report_json(const RunReport& report, std::ostream& os) {
   os << "]\n}\n";
 }
 
-// --------------------------------------------------------------- text
+// --------------------------------------------------------------- views
 
 namespace {
-
-std::string fmt_seconds(double s) {
-  std::ostringstream os;
-  if (s >= 1.0) {
-    os.precision(3);
-    os << std::fixed << s << " s";
-  } else if (s >= 1e-3) {
-    os.precision(3);
-    os << std::fixed << s * 1e3 << " ms";
-  } else {
-    os.precision(3);
-    os << std::fixed << s * 1e6 << " us";
-  }
-  return os.str();
-}
-
-std::string fmt_ratio(double v) {
-  std::ostringstream os;
-  os.precision(2);
-  os << std::fixed << v;
-  return os.str();
-}
-
-std::string fmt_percent(double frac) {
-  std::ostringstream os;
-  os.precision(1);
-  os << std::fixed << frac * 100.0 << "%";
-  return os.str();
-}
 
 /// One character per timeline bucket: dominant component of the cell.
 char bucket_char(const TimelineCell& cell) {
@@ -304,180 +268,109 @@ char bucket_char(const TimelineCell& cell) {
 
 }  // namespace
 
-void write_report_text(const RunReport& report, std::ostream& os) {
-  os << "=== run report: " << report.title << " ===\n";
-  os << "partition " << report.partition << " (" << report.nranks
-     << " ranks), engine " << report.engine << "\n";
-  os << "elapsed " << fmt_seconds(report.elapsed_s) << ", total flops "
-     << report.total_flops;
+obs::Document report_document(const RunReport& report) {
+  obs::Document doc;
+  doc.title = "run report: " + report.title;
+  doc.text("partition " + report.partition + " (" +
+           std::to_string(report.nranks) + " ranks), engine " +
+           report.engine);
+  std::string elapsed = "elapsed " + fmt_seconds(report.elapsed_s) +
+                        ", total flops " +
+                        obs::fmt_number(report.total_flops);
   if (const auto sp = report.speedup()) {
-    os << ", speedup " << fmt_ratio(*sp) << "x over sequential ("
-       << fmt_seconds(*report.seq_elapsed_s) << ")";
+    elapsed += ", speedup " + fmt_ratio(*sp) + "x over sequential (" +
+               fmt_seconds(*report.seq_elapsed_s) + ")";
   }
-  os << "\n";
+  doc.text(elapsed);
   const auto& c = report.compile;
-  os << "compile: " << c.field_loops << " field loops, "
-     << c.dependence_pairs << " dependence pairs, "
-     << c.self_dependent_loops << " self-dependent ("
-     << c.mirror_image_loops << " mirror-image, " << c.pipelined_loops
-     << " pipelined), syncs " << c.syncs_before << " -> " << c.syncs_after
-     << " (" << fmt_percent(c.optimization_percent / 100.0)
-     << " optimized away)\n";
+  doc.text("compile: " + std::to_string(c.field_loops) + " field loops, " +
+           std::to_string(c.dependence_pairs) + " dependence pairs, " +
+           std::to_string(c.self_dependent_loops) + " self-dependent (" +
+           std::to_string(c.mirror_image_loops) + " mirror-image, " +
+           std::to_string(c.pipelined_loops) + " pipelined), syncs " +
+           std::to_string(c.syncs_before) + " -> " +
+           std::to_string(c.syncs_after) + " (" +
+           fmt_percent(c.optimization_percent / 100.0) + " optimized away)");
   if (report.recovery.enabled) {
-    os << "recovery: " << report.recovery.retransmits << " retransmits, "
-       << report.recovery.recovered << " messages recovered, "
-       << fmt_seconds(report.recovery.recovery_s) << " recovery wait\n";
+    doc.text("recovery: " + std::to_string(report.recovery.retransmits) +
+             " retransmits, " + std::to_string(report.recovery.recovered) +
+             " messages recovered, " +
+             fmt_seconds(report.recovery.recovery_s) + " recovery wait");
   }
 
-  os << "\n--- hot spots (attributed compute over all ranks) ---\n";
+  doc.heading("hot spots (attributed compute over all ranks)");
   const auto hot = report.profile.hottest(10);
-  for (const auto* e : hot) {
-    os << "  line " << e->loc.line << (e->is_loop ? " loop " : " stmt ");
-    if (!e->loop_class.empty()) os << "[" << e->loop_class << "] ";
-    if (e->self_dependent) os << "(self-dep) ";
-    os << fmt_seconds(e->time_s) << "  " << fmt_percent(e->share)
-       << "  x" << e->count << "  imbalance "
-       << fmt_ratio(e->imbalance(report.profile.nranks)) << "\n";
+  if (hot.empty()) {
+    doc.text("(no attributed units; profiling off?)");
+  } else {
+    auto& table = doc.table({{"source", true}, {"class", true}, {"time"},
+                             {"share", true}, {"count"}, {"imbalance"}});
+    for (const auto* e : hot) {
+      table.add_row(
+          {"line " + std::to_string(e->loc.line) +
+               (e->is_loop ? " loop" : " stmt"),
+           e->loop_class + (e->self_dependent ? " self-dep" : ""),
+           fmt_seconds(e->time_s), {e->share, fmt_percent(e->share)},
+           std::to_string(e->count),
+           fmt_ratio(e->imbalance(report.profile.nranks))});
+    }
   }
-  if (hot.empty()) os << "  (no attributed units; profiling off?)\n";
 
-  os << "\n--- per-rank time (compute / transfer / wait) ---\n";
+  doc.heading("per-rank time");
+  auto& ranks = doc.table({{"rank"}, {"compute"}, {"transfer"}, {"wait"},
+                           {"recovery"}, {"total"}, {"timeline", true}});
   for (std::size_t r = 0; r < report.ranks.size(); ++r) {
     const auto& b = report.ranks[r];
-    os << "  rank " << r << ": " << fmt_seconds(b.compute) << " / "
-       << fmt_seconds(b.transfer) << " / " << fmt_seconds(b.wait)
-       << "  = " << fmt_seconds(b.total());
-    if (b.recovery > 0.0) {
-      os << "  (recovery " << fmt_seconds(b.recovery) << ")";
-    }
+    std::string strip;
     if (r < report.comm.timeline.ranks.size()) {
-      os << "  |";
+      strip = "|";
       for (const auto& cell : report.comm.timeline.ranks[r]) {
-        os << bucket_char(cell);
+        strip += bucket_char(cell);
       }
-      os << "|";
+      strip += "|";
     }
-    os << "\n";
+    ranks.add_row({std::to_string(r), fmt_seconds(b.compute),
+                   fmt_seconds(b.transfer), fmt_seconds(b.wait),
+                   fmt_seconds(b.recovery), fmt_seconds(b.total()), strip});
   }
-  os << "  timeline legend: '#' compute-dominant, '>' transfer, 'w' wait,"
-        " '.' idle\n";
+  doc.text("timeline: '#' compute-dominant, '>' transfer, 'w' wait, "
+           "'.' idle");
 
-  os << "\n--- communication matrix (src -> dst) ---\n";
-  for (const auto& f : report.comm.neighbors) {
-    os << "  " << f.src << " -> " << f.dst << ": " << f.messages
-       << " msgs, " << f.bytes << " bytes (" << f.halo_bytes
-       << " halo), wait " << fmt_seconds(f.wait_s) << "\n";
+  doc.heading("communication matrix (src -> dst)");
+  if (report.comm.neighbors.empty()) {
+    doc.text("(no point-to-point traffic)");
+  } else {
+    auto& matrix = doc.table({{"src"}, {"dst"}, {"messages"}, {"bytes"},
+                              {"halo bytes"}, {"wait"}});
+    for (const auto& f : report.comm.neighbors) {
+      matrix.add_row({std::to_string(f.src), std::to_string(f.dst),
+                      std::to_string(f.messages), std::to_string(f.bytes),
+                      std::to_string(f.halo_bytes), fmt_seconds(f.wait_s)});
+    }
   }
-  if (report.comm.neighbors.empty()) os << "  (no point-to-point traffic)\n";
 
-  os << "\n--- sync-plan sites ---\n";
-  for (const auto& s : report.sites) {
-    os << "  [" << s.site << "] " << s.kind << " " << s.label << ": "
-       << s.messages << " msgs, " << s.bytes << " bytes, wait "
-       << fmt_seconds(s.wait_s) << ", cost " << fmt_seconds(s.cost_s);
-    if (!s.why.empty()) os << "  (" << s.why << ")";
-    os << "\n";
+  doc.heading("sync-plan sites");
+  if (report.sites.empty()) {
+    doc.text("(no registered sites)");
+  } else {
+    auto& sites = doc.table({{"id"}, {"kind", true}, {"label", true},
+                             {"messages"}, {"bytes"}, {"wait"}, {"cost"},
+                             {"why", true}});
+    for (const auto& s : report.sites) {
+      sites.add_row({std::to_string(s.site), s.kind, s.label,
+                     std::to_string(s.messages), std::to_string(s.bytes),
+                     fmt_seconds(s.wait_s), fmt_seconds(s.cost_s), s.why});
+    }
   }
-  if (report.sites.empty()) os << "  (no registered sites)\n";
+  return doc;
 }
 
-// --------------------------------------------------------------- html
-
-void write_report_html(const RunReport& report, std::ostream& os) {
-  os << "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n<title>"
-     << html_escape(report.title) << " — run report</title>\n<style>\n"
-        "body{font-family:sans-serif;margin:2em;max-width:70em}\n"
-        "table{border-collapse:collapse;margin:1em 0}\n"
-        "td,th{border:1px solid #ccc;padding:0.3em 0.6em;"
-        "text-align:right}\n"
-        "th{background:#f0f0f0}\ntd.l,th.l{text-align:left}\n"
-        ".bar{height:0.8em;min-width:1px;display:inline-block}\n"
-        ".cell{width:10em}\n</style></head><body>\n";
-  os << "<h1>Run report: " << html_escape(report.title) << "</h1>\n";
-  os << "<p>partition <b>" << html_escape(report.partition) << "</b> ("
-     << report.nranks << " ranks), engine <b>" << html_escape(report.engine)
-     << "</b>, elapsed <b>" << fmt_seconds(report.elapsed_s) << "</b>";
-  if (const auto sp = report.speedup()) {
-    os << ", speedup <b>" << fmt_ratio(*sp) << "x</b>";
-  }
-  os << "</p>\n";
-  const auto& c = report.compile;
-  os << "<p>compile: " << c.field_loops << " field loops, "
-     << c.dependence_pairs << " dependence pairs, " << c.self_dependent_loops
-     << " self-dependent, syncs " << c.syncs_before << " &rarr; "
-     << c.syncs_after << "</p>\n";
-  if (report.recovery.enabled) {
-    os << "<p>recovery: <b>" << report.recovery.retransmits
-       << "</b> retransmits, <b>" << report.recovery.recovered
-       << "</b> messages recovered, <b>"
-       << fmt_seconds(report.recovery.recovery_s) << "</b> recovery wait</p>\n";
-  }
-
-  os << "<h2>Hot spots</h2>\n<table><tr><th class=\"l\">source</th>"
-        "<th class=\"l\">class</th><th>time</th><th>share</th>"
-        "<th class=\"l cell\"></th><th>imbalance</th></tr>\n";
-  for (const auto* e : report.profile.hottest(10)) {
-    os << "<tr><td class=\"l\">line " << e->loc.line
-       << (e->is_loop ? " (loop)" : " (stmt)") << "</td><td class=\"l\">"
-       << html_escape(e->loop_class)
-       << (e->self_dependent ? " self-dep" : "") << "</td><td>"
-       << fmt_seconds(e->time_s) << "</td><td>" << fmt_percent(e->share)
-       << "</td><td class=\"l cell\">" << html_bar(e->share, "#4a90d9")
-       << "</td><td>"
-       << fmt_ratio(e->imbalance(report.profile.nranks)) << "</td></tr>\n";
-  }
-  os << "</table>\n";
-
-  os << "<h2>Per-rank time</h2>\n<table><tr><th>rank</th><th>compute</th>"
-        "<th>transfer</th><th>wait</th><th>total</th>"
-        "<th class=\"l cell\">breakdown</th></tr>\n";
-  double max_total = 0.0;
-  for (const auto& b : report.ranks) max_total = std::max(max_total, b.total());
-  for (std::size_t r = 0; r < report.ranks.size(); ++r) {
-    const auto& b = report.ranks[r];
-    const double scale = max_total > 0.0 ? 1.0 / max_total : 0.0;
-    os << "<tr><td>" << r << "</td><td>" << fmt_seconds(b.compute)
-       << "</td><td>" << fmt_seconds(b.transfer) << "</td><td>"
-       << fmt_seconds(b.wait) << "</td><td>" << fmt_seconds(b.total())
-       << "</td><td class=\"l cell\">"
-       << html_bar(b.compute * scale, "#4a90d9")
-       << html_bar(b.transfer * scale, "#e8a33d")
-       << html_bar(b.wait * scale, "#d05050")
-       << "</td></tr>\n";
-  }
-  os << "</table>\n";
-
-  os << "<h2>Communication</h2>\n<table><tr><th>src</th><th>dst</th>"
-        "<th>messages</th><th>bytes</th><th>halo bytes</th><th>wait</th>"
-        "</tr>\n";
-  for (const auto& f : report.comm.neighbors) {
-    os << "<tr><td>" << f.src << "</td><td>" << f.dst << "</td><td>"
-       << f.messages << "</td><td>" << f.bytes << "</td><td>"
-       << f.halo_bytes << "</td><td>" << fmt_seconds(f.wait_s)
-       << "</td></tr>\n";
-  }
-  os << "</table>\n";
-
-  os << "<h2>Sync-plan sites</h2>\n<table><tr><th>id</th>"
-        "<th class=\"l\">kind</th><th class=\"l\">label</th>"
-        "<th>messages</th><th>bytes</th><th>wait</th><th>cost</th>"
-        "<th class=\"l\">why</th></tr>\n";
-  for (const auto& s : report.sites) {
-    os << "<tr><td>" << s.site << "</td><td class=\"l\">" << s.kind
-       << "</td><td class=\"l\">" << html_escape(s.label) << "</td><td>"
-       << s.messages << "</td><td>" << s.bytes << "</td><td>"
-       << fmt_seconds(s.wait_s) << "</td><td>" << fmt_seconds(s.cost_s)
-       << "</td><td class=\"l\">" << html_escape(s.why) << "</td></tr>\n";
-  }
-  os << "</table>\n</body></html>\n";
-}
-
-void write_report(const RunReport& report, ReportFormat format,
+void write_report(const RunReport& report, obs::Format format,
                   std::ostream& os) {
-  switch (format) {
-    case ReportFormat::Json: write_report_json(report, os); break;
-    case ReportFormat::Text: write_report_text(report, os); break;
-    case ReportFormat::Html: write_report_html(report, os); break;
+  if (format == obs::Format::Json) {
+    write_report_json(report, os);
+  } else {
+    obs::render(report_document(report), format, os);
   }
 }
 

@@ -12,8 +12,8 @@
 //
 // Serialized as versioned, deterministic JSON (fixed key order,
 // json_number formatting) so that write -> read -> write is
-// byte-identical and CI can diff sweeps, plus text and HTML renderings
-// with ASCII efficiency curves. Read back via obs::json_reader, the
+// byte-identical and CI can diff sweeps, plus an obs::Document view
+// (text or HTML) with efficiency-curve bars. Read back via obs::json_reader, the
 // same reader the planner uses for run reports.
 #pragma once
 
@@ -21,6 +21,8 @@
 #include <ostream>
 #include <string>
 #include <vector>
+
+#include "autocfd/obs/document.hpp"
 
 namespace autocfd::sweep {
 
@@ -155,11 +157,9 @@ struct ScalingReport {
   /// Deterministic JSON, byte-identical across write/read/write.
   void write_json(std::ostream& os) const;
   [[nodiscard]] std::string json() const;
-  /// Terminal view with ASCII speedup/efficiency curves and the
-  /// site-share trend table.
-  void write_text(std::ostream& os) const;
-  /// Self-contained single-file HTML (inline CSS, no scripts).
-  void write_html(std::ostream& os) const;
+  /// The human view: cells, recovery, efficiency curves per engine,
+  /// the site-share trend table, classification and planner verdict.
+  [[nodiscard]] obs::Document document() const;
 
   /// Parses ScalingReport JSON; nullopt + diagnostic on malformed
   /// input or a schema_version mismatch.
@@ -170,13 +170,8 @@ struct ScalingReport {
       const std::string& path, std::string* error);
 };
 
-enum class SweepFormat { Json, Text, Html };
-
-/// Parses "json" / "text" / "html"; empty selects Text.
-[[nodiscard]] std::optional<SweepFormat> parse_sweep_format(
-    std::string_view name);
-
-void write_scaling_report(const ScalingReport& report, SweepFormat format,
+/// JSON via write_json, text and HTML via document().
+void write_scaling_report(const ScalingReport& report, obs::Format format,
                           std::ostream& os);
 
 }  // namespace autocfd::sweep

@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 
-#include "autocfd/obs/html_util.hpp"
 #include "autocfd/obs/json_reader.hpp"
 #include "autocfd/obs/json_util.hpp"
 
 namespace autocfd::sweep {
 
-using obs::html_bar;
-using obs::html_escape;
 using obs::json_escape;
 using obs::json_number;
 
@@ -228,70 +224,50 @@ std::optional<ScalingReport> ScalingReport::load(const std::string& path,
   return rep;
 }
 
-// --------------------------------------------------------------- text
+// --------------------------------------------------------------- views
 
-namespace {
-
-std::string fmt(double v, int prec) {
-  std::ostringstream os;
-  os.precision(prec);
-  os << std::fixed << v;
-  return os.str();
-}
-
-std::string fmt_pct(double frac) { return fmt(frac * 100.0, 1) + "%"; }
-
-/// A `width`-character bar filled to `frac` (clamped to [0, 1]).
-std::string ascii_bar(double frac, int width) {
-  const int fill = static_cast<int>(
-      std::clamp(frac, 0.0, 1.0) * width + 0.5);
-  std::string bar(static_cast<std::size_t>(width), '.');
-  for (int i = 0; i < fill; ++i) bar[static_cast<std::size_t>(i)] = '#';
-  return bar;
-}
-
-}  // namespace
-
-void ScalingReport::write_text(std::ostream& os) const {
-  os << "=== scaling report: " << title << " ===\n";
-  os << "strategy " << strategy << ", "
-     << (fault_spec.empty() ? std::string("clean")
-                            : "faults '" + fault_spec + "'");
-  if (!recovery_spec.empty()) os << ", recovery '" << recovery_spec << "'";
+obs::Document ScalingReport::document() const {
+  using obs::fmt_percent;
+  using obs::fmt_ratio;
+  using obs::fmt_seconds;
+  obs::Document doc;
+  doc.title = "scaling report: " + title;
+  std::string summary =
+      "strategy " + strategy + ", " +
+      (fault_spec.empty() ? std::string("clean")
+                          : "faults '" + fault_spec + "'");
+  if (!recovery_spec.empty()) summary += ", recovery '" + recovery_spec + "'";
   if (seq_elapsed_s > 0.0) {
-    os << ", sequential baseline " << fmt(seq_elapsed_s, 4) << " s";
+    summary += ", sequential baseline " + fmt_seconds(seq_elapsed_s);
   }
-  os << "\n";
+  doc.text(summary);
 
-  os << "\n--- cells ---\n";
-  os << "  ranks partition   engine    elapsed(s)  speedup    eff"
-        "  karp-flatt  comm%   imbal  syncs\n";
+  doc.heading("cells");
+  auto& table = doc.table({{"ranks"}, {"partition", true}, {"engine", true},
+                           {"elapsed"}, {"speedup"}, {"eff"}, {"karp-flatt"},
+                           {"comm%"}, {"imbal"}, {"syncs"}});
   for (const auto& c : cells) {
-    os << "  " << std::setw(5) << c.nranks << " " << std::setw(-1);
-    std::ostringstream part;
-    part << c.partition << (c.baseline ? "*" : "");
-    os << part.str();
-    for (std::size_t pad = part.str().size(); pad < 12; ++pad) os << ' ';
-    os << c.engine;
-    for (std::size_t pad = c.engine.size(); pad < 10; ++pad) os << ' ';
-    os << std::setw(10) << fmt(c.elapsed_s, 4) << "  " << std::setw(7)
-       << fmt(c.speedup, 2) << " " << std::setw(6) << fmt_pct(c.efficiency)
-       << "  " << std::setw(10) << fmt(c.karp_flatt, 4) << " " << std::setw(6)
-       << fmt_pct(c.comm_share) << "  " << std::setw(6) << fmt(c.imbalance, 2)
-       << "  " << std::setw(5) << c.syncs_after << "\n";
+    table.add_row({std::to_string(c.nranks),
+                   c.partition + (c.baseline ? "*" : ""), c.engine,
+                   fmt_seconds(c.elapsed_s), fmt_ratio(c.speedup),
+                   fmt_percent(c.efficiency), fmt_ratio(c.karp_flatt, 4),
+                   fmt_percent(c.comm_share), fmt_ratio(c.imbalance),
+                   std::to_string(c.syncs_after)});
   }
-  os << "  (* = baseline cell of its engine series)\n";
+  doc.text("(* = baseline cell of its engine series)");
+
   bool any_recovery = false;
   for (const auto& c : cells) any_recovery |= c.retransmits > 0;
   if (any_recovery) {
-    os << "\n--- recovery (reliable delivery under the fault plan) ---\n";
+    doc.heading("recovery (reliable delivery under the fault plan)");
+    auto& rec = doc.table({{"ranks"}, {"partition", true}, {"engine", true},
+                           {"retransmits"}, {"recovery wait"}, {"of wait"}});
     for (const auto& c : cells) {
       if (c.retransmits == 0) continue;
-      os << "  p=" << std::setw(4) << c.nranks << " " << c.partition << " ("
-         << c.engine << "): " << c.retransmits << " retransmits, "
-         << fmt(c.recovery_s, 4) << " s recovery wait ("
-         << fmt_pct(c.wait_s > 0.0 ? c.recovery_s / c.wait_s : 0.0)
-         << " of wait)\n";
+      rec.add_row({std::to_string(c.nranks), c.partition, c.engine,
+                   std::to_string(c.retransmits), fmt_seconds(c.recovery_s),
+                   fmt_percent(c.wait_s > 0.0 ? c.recovery_s / c.wait_s
+                                              : 0.0)});
     }
   }
 
@@ -304,166 +280,68 @@ void ScalingReport::write_text(std::ostream& os) const {
     }
   }
   for (const auto& engine : engines) {
-    os << "\n--- parallel efficiency (" << engine << ") ---\n";
+    doc.heading("parallel efficiency (" + engine + ")");
+    auto& curve = doc.table({{"ranks"}, {"partition", true},
+                             {"efficiency", true}, {"speedup"}});
     for (const auto& c : cells) {
       if (c.engine != engine) continue;
-      os << "  p=" << std::setw(4) << c.nranks << " " << c.partition;
-      for (std::size_t pad = c.partition.size(); pad < 10; ++pad) os << ' ';
-      os << "|" << ascii_bar(c.efficiency, 32) << "| " << fmt_pct(c.efficiency)
-         << "  (speedup " << fmt(c.speedup, 2) << "x)\n";
+      curve.add_row({std::to_string(c.nranks), c.partition,
+                     {c.efficiency, fmt_percent(c.efficiency)},
+                     fmt_ratio(c.speedup) + "x"});
     }
   }
 
   if (!site_trends.empty()) {
-    os << "\n--- communication share by sync site (of total rank time) "
-          "---\n";
-    os << "  site";
-    for (std::size_t pad = 4; pad < 44; ++pad) os << ' ';
+    doc.heading("communication share by sync site (of total rank time)");
+    std::vector<obs::Column> columns = {{"site", true}};
     for (const auto& c : cells) {
-      os << std::setw(8) << ("p=" + std::to_string(c.nranks));
+      columns.push_back({"p=" + std::to_string(c.nranks)});
     }
-    os << "\n";
+    auto& trends = doc.table(std::move(columns));
     for (const auto& t : site_trends) {
-      std::string name = t.kind + " " + t.label;
-      if (name.size() > 42) name = name.substr(0, 39) + "...";
-      os << "  " << name;
-      for (std::size_t pad = name.size(); pad < 44; ++pad) os << ' ';
-      for (const auto share : t.shares) os << std::setw(8) << fmt_pct(share);
-      os << "\n";
+      std::vector<obs::Cell> row = {t.kind + " " + t.label};
+      for (const auto share : t.shares) row.emplace_back(fmt_percent(share));
+      trends.add_row(std::move(row));
     }
   }
 
-  os << "\n--- classification ---\n";
-  os << "  " << classification;
-  if (crossover_nranks > 0) {
-    os << ": communication dominates from " << crossover_nranks << " ranks";
-  } else {
-    os << " throughout the sweep";
-  }
-  os << "\n";
+  doc.heading("classification");
+  doc.text(classification +
+           (crossover_nranks > 0
+                ? ": communication dominates from " +
+                      std::to_string(crossover_nranks) + " ranks"
+                : std::string(" throughout the sweep")));
   if (!crossover_site.empty()) {
-    os << "  dominant communication site: " << crossover_site_kind << " "
-       << crossover_site << "\n";
+    doc.text("dominant communication site: " + crossover_site_kind + " " +
+             crossover_site);
   }
 
   if (!plan_points.empty()) {
-    os << "\n--- planner verdict per scale (scaling-aware search) ---\n";
-    os << "  ranks  measured          planned             predicted(s)"
-          "  static(s)\n";
+    doc.heading("planner verdict per scale (scaling-aware search)");
+    auto& verdict = doc.table({{"ranks"}, {"measured", true}, {"planned", true},
+                               {"predicted"}, {"static"}});
     for (const auto& p : plan_points) {
-      std::string measured = p.measured_partition;
-      std::string planned = p.planned_partition + " (" + p.planned_strategy +
-                            ")" + (p.improves ? " +" : "");
-      os << "  " << std::setw(5) << p.nranks << "  " << measured;
-      for (std::size_t pad = measured.size(); pad < 16; ++pad) os << ' ';
-      os << planned;
-      for (std::size_t pad = planned.size(); pad < 20; ++pad) os << ' ';
-      os << std::setw(12) << fmt(p.predicted_s, 4) << " " << std::setw(10)
-         << fmt(p.static_predicted_s, 4) << "\n";
+      verdict.add_row({std::to_string(p.nranks), p.measured_partition,
+                       p.planned_partition + " (" + p.planned_strategy +
+                           ")" + (p.improves ? " +" : ""),
+                       fmt_seconds(p.predicted_s),
+                       fmt_seconds(p.static_predicted_s)});
     }
     if (recommended_nranks > 0) {
-      os << "  recommendation: " << recommended_nranks << " ranks as "
-         << recommended_partition << " (lowest predicted virtual time)\n";
+      doc.text("recommendation: " + std::to_string(recommended_nranks) +
+               " ranks as " + recommended_partition +
+               " (lowest predicted virtual time)");
     }
   }
+  return doc;
 }
 
-// --------------------------------------------------------------- html
-
-void ScalingReport::write_html(std::ostream& os) const {
-  os << "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n<title>"
-     << html_escape(title) << " — scaling report</title>\n<style>\n"
-        "body{font-family:sans-serif;margin:2em;max-width:75em}\n"
-        "table{border-collapse:collapse;margin:1em 0}\n"
-        "td,th{border:1px solid #ccc;padding:0.3em 0.6em;text-align:right}\n"
-        "th{background:#f0f0f0}\ntd.l,th.l{text-align:left}\n"
-        ".bar{height:0.8em;min-width:1px;display:inline-block}\n"
-        ".cell{width:12em}\n</style></head><body>\n";
-  os << "<h1>Scaling report: " << html_escape(title) << "</h1>\n";
-  os << "<p>strategy <b>" << html_escape(strategy) << "</b>, "
-     << (fault_spec.empty()
-             ? std::string("clean")
-             : "faults <b>" + html_escape(fault_spec) + "</b>");
-  if (!recovery_spec.empty()) {
-    os << ", recovery <b>" << html_escape(recovery_spec) << "</b>";
-  }
-  if (seq_elapsed_s > 0.0) {
-    os << ", sequential baseline <b>" << fmt(seq_elapsed_s, 4) << " s</b>";
-  }
-  os << ", classification <b>" << html_escape(classification) << "</b>";
-  if (!crossover_site.empty()) {
-    os << " (dominant site: " << html_escape(crossover_site_kind) << " "
-       << html_escape(crossover_site) << ")";
-  }
-  os << "</p>\n";
-
-  os << "<h2>Efficiency curve</h2>\n<table><tr><th>ranks</th>"
-        "<th class=\"l\">partition</th><th class=\"l\">engine</th>"
-        "<th>elapsed</th><th>speedup</th><th>efficiency</th>"
-        "<th class=\"l cell\"></th><th>Karp–Flatt</th><th>comm share</th>"
-        "<th>imbalance</th></tr>\n";
-  for (const auto& c : cells) {
-    os << "<tr><td>" << c.nranks << (c.baseline ? "*" : "")
-       << "</td><td class=\"l\">" << html_escape(c.partition)
-       << "</td><td class=\"l\">" << html_escape(c.engine) << "</td><td>"
-       << fmt(c.elapsed_s, 4) << " s</td><td>" << fmt(c.speedup, 2)
-       << "x</td><td>" << fmt_pct(c.efficiency) << "</td><td class=\"l cell\">"
-       << html_bar(c.efficiency, "#4a90d9") << "</td><td>"
-       << fmt(c.karp_flatt, 4) << "</td><td>" << fmt_pct(c.comm_share)
-       << "</td><td>" << fmt(c.imbalance, 2) << "</td></tr>\n";
-  }
-  os << "</table>\n";
-
-  if (!site_trends.empty()) {
-    os << "<h2>Communication share by sync site</h2>\n<table><tr>"
-          "<th class=\"l\">site</th>";
-    for (const auto& c : cells) os << "<th>p=" << c.nranks << "</th>";
-    os << "</tr>\n";
-    for (const auto& t : site_trends) {
-      os << "<tr><td class=\"l\">" << html_escape(t.kind) << " "
-         << html_escape(t.label) << "</td>";
-      for (const auto share : t.shares) {
-        os << "<td>" << fmt_pct(share) << "</td>";
-      }
-      os << "</tr>\n";
-    }
-    os << "</table>\n";
-  }
-
-  if (!plan_points.empty()) {
-    os << "<h2>Planner verdict per scale</h2>\n<table><tr><th>ranks</th>"
-          "<th class=\"l\">measured</th><th class=\"l\">planned</th>"
-          "<th>predicted</th><th>static predicted</th></tr>\n";
-    for (const auto& p : plan_points) {
-      os << "<tr><td>" << p.nranks << "</td><td class=\"l\">"
-         << html_escape(p.measured_partition) << "</td><td class=\"l\">"
-         << html_escape(p.planned_partition) << " ("
-         << html_escape(p.planned_strategy) << ")" << (p.improves ? " +" : "")
-         << "</td><td>" << fmt(p.predicted_s, 4) << " s</td><td>"
-         << fmt(p.static_predicted_s, 4) << " s</td></tr>\n";
-    }
-    os << "</table>\n";
-    if (recommended_nranks > 0) {
-      os << "<p>recommendation: <b>" << recommended_nranks << " ranks as "
-         << html_escape(recommended_partition) << "</b></p>\n";
-    }
-  }
-  os << "</body></html>\n";
-}
-
-std::optional<SweepFormat> parse_sweep_format(std::string_view name) {
-  if (name.empty() || name == "text") return SweepFormat::Text;
-  if (name == "json") return SweepFormat::Json;
-  if (name == "html") return SweepFormat::Html;
-  return std::nullopt;
-}
-
-void write_scaling_report(const ScalingReport& report, SweepFormat format,
+void write_scaling_report(const ScalingReport& report, obs::Format format,
                           std::ostream& os) {
-  switch (format) {
-    case SweepFormat::Json: report.write_json(os); break;
-    case SweepFormat::Text: report.write_text(os); break;
-    case SweepFormat::Html: report.write_html(os); break;
+  if (format == obs::Format::Json) {
+    report.write_json(os);
+  } else {
+    obs::render(report.document(), format, os);
   }
 }
 

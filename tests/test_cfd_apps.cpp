@@ -60,7 +60,7 @@ TEST(SprayerApp, EquivalenceSmallGrid) {
   p.ny = 12;
   p.frames = 2;
   const auto src = sprayer_source(p);
-  for (const auto* part : {"2x1", "1x2", "2x2"}) {
+  for (const auto* part : {"2x1", "1x2", "2x2", "4x2"}) {
     expect_equivalent(src, part);
   }
 }
@@ -122,7 +122,7 @@ TEST(AerofoilApp, EquivalenceSmallGrid) {
   p.n3 = 4;
   p.frames = 2;
   const auto src = aerofoil_source(p);
-  for (const auto* part : {"2x1x1", "1x2x1", "2x2x1"}) {
+  for (const auto* part : {"2x1x1", "1x2x1", "2x2x1", "4x2x1"}) {
     expect_equivalent(src, part);
   }
 }

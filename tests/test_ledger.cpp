@@ -513,19 +513,15 @@ TEST(History, RendersAllThreeFormats) {
     records.push_back(make_rec("aerofoil", 1.0 + 0.1 * i));
   }
   std::ostringstream text, json, html;
-  write_history(records, HistoryFormat::Text, text);
-  write_history(records, HistoryFormat::Json, json);
-  write_history(records, HistoryFormat::Html, html);
+  write_history(records, obs::Format::Text, text);
+  write_history(records, obs::Format::Json, json);
+  write_history(records, obs::Format::Html, html);
   EXPECT_NE(text.str().find("== run aerofoil"), std::string::npos);
   EXPECT_NE(text.str().find("elapsed_s"), std::string::npos);
   EXPECT_NE(json.str().find("\"metric\": \"elapsed_s\""),
             std::string::npos);
   EXPECT_NE(html.str().find("<!DOCTYPE html>"), std::string::npos);
   EXPECT_NE(html.str().find("elapsed_s"), std::string::npos);
-  // Format parsing: empty means text, junk is rejected.
-  EXPECT_EQ(parse_history_format(""), HistoryFormat::Text);
-  EXPECT_EQ(parse_history_format("html"), HistoryFormat::Html);
-  EXPECT_FALSE(parse_history_format("pdf").has_value());
 }
 
 // ----------------------------------------------- output-path guarding

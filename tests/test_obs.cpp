@@ -10,6 +10,7 @@
 
 #include "autocfd/cfd/apps.hpp"
 #include "autocfd/core/pipeline.hpp"
+#include "autocfd/obs/document.hpp"
 #include "autocfd/obs/json_util.hpp"
 #include "autocfd/obs/obs.hpp"
 #include "autocfd/trace/metrics_bridge.hpp"
@@ -34,6 +35,91 @@ TEST(JsonUtil, NumbersAreAlwaysValidJson) {
   EXPECT_EQ(obs::json_number(std::nan("")), "0");
   // Infinities are clamped to finite values, never "inf".
   EXPECT_EQ(obs::json_number(HUGE_VAL).find("inf"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Report document model and its two renderers
+// ---------------------------------------------------------------------------
+
+obs::Document sample_document() {
+  obs::Document doc;
+  doc.title = "title <1>";
+  doc.heading("heading & <2>");
+  doc.text("line \"3\"");
+  auto& table =
+      doc.table({{"name", true}, {"val<ue>"}, {"bar", true}});
+  table.add_row({"a<b", "1", {1.5, "over"}});
+  table.add_row({"longest-name", "12345", {-0.5, "under"}});
+  return doc;
+}
+
+TEST(Document, HtmlEscapesTitleHeadingsLinesAndEveryCell) {
+  std::ostringstream os;
+  obs::render(sample_document(), obs::Format::Html, os);
+  const std::string page = os.str();
+  for (const char* raw : {"title <1>", "heading & <2>", "line \"3\"",
+                          "val<ue>", "a<b"}) {
+    EXPECT_EQ(page.find(raw), std::string::npos) << raw;
+  }
+  for (const char* escaped :
+       {"<title>title &lt;1&gt;</title>", "<h1>title &lt;1&gt;</h1>",
+        "<h2>heading &amp; &lt;2&gt;</h2>", "<p>line &quot;3&quot;</p>",
+        "<th>val&lt;ue&gt;</th>", "<td class=\"l\">a&lt;b</td>"}) {
+    EXPECT_NE(page.find(escaped), std::string::npos) << escaped;
+  }
+}
+
+TEST(Document, TextColumnsPadToTheWidestCell) {
+  std::ostringstream os;
+  obs::render(sample_document(), obs::Format::Text, os);
+  // "name" pads right to "longest-name", "val<ue>" pads left to its
+  // own header width, and the bar column's text follows its bar.
+  EXPECT_EQ(os.str(),
+            "=== title <1> ===\n"
+            "\n== heading & <2> ==\n"
+            "line \"3\"\n"
+            "  name          val<ue>  bar\n"
+            "  a<b                 1  |####################| over\n"
+            "  longest-name    12345  |....................| under\n");
+}
+
+TEST(Document, BarsClampToTheUnitInterval) {
+  std::ostringstream text, html;
+  obs::render(sample_document(), obs::Format::Text, text);
+  obs::render(sample_document(), obs::Format::Html, html);
+  EXPECT_NE(text.str().find("|####################| over"),
+            std::string::npos);
+  EXPECT_NE(text.str().find("|....................| under"),
+            std::string::npos);
+  EXPECT_NE(html.str().find("width:100.0%"), std::string::npos);
+  EXPECT_NE(html.str().find("width:0.0%"), std::string::npos);
+  EXPECT_EQ(html.str().find("width:150"), std::string::npos);
+  EXPECT_EQ(html.str().find("width:-"), std::string::npos);
+}
+
+TEST(Document, FormatParsingAndPathInference) {
+  EXPECT_EQ(obs::parse_format(""), obs::Format::Text);
+  EXPECT_EQ(obs::parse_format("text"), obs::Format::Text);
+  EXPECT_EQ(obs::parse_format("json"), obs::Format::Json);
+  EXPECT_EQ(obs::parse_format("html"), obs::Format::Html);
+  for (const char* junk : {"yaml", "pdf", "HTML", "json "}) {
+    EXPECT_FALSE(obs::parse_format(junk).has_value()) << junk;
+  }
+  EXPECT_EQ(obs::format_for_path("out/report.json"), obs::Format::Json);
+  EXPECT_EQ(obs::format_for_path("report.html"), obs::Format::Html);
+  EXPECT_EQ(obs::format_for_path("report.htm"), obs::Format::Html);
+  EXPECT_EQ(obs::format_for_path("report.txt"), obs::Format::Text);
+  EXPECT_EQ(obs::format_for_path(""), obs::Format::Text);
+}
+
+TEST(Document, NumberFormatters) {
+  EXPECT_EQ(obs::fmt_seconds(1.5), "1.500 s");
+  EXPECT_EQ(obs::fmt_seconds(0.0123), "12.300 ms");
+  EXPECT_EQ(obs::fmt_seconds(2e-6), "2.000 us");
+  EXPECT_EQ(obs::fmt_ratio(2.771), "2.77");
+  EXPECT_EQ(obs::fmt_ratio(1.40375, 4), "1.4038");
+  EXPECT_EQ(obs::fmt_percent(0.123), "12.3%");
+  EXPECT_EQ(obs::fmt_number(1.40871234), "1.4087");
 }
 
 // ---------------------------------------------------------------------------

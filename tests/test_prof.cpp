@@ -365,8 +365,8 @@ TEST(RunReport, TextAndHtmlRender) {
   const auto report = build_run_report(*run.program, run.result, run.trace,
                                        &run.obs.provenance, opts);
   std::ostringstream text, html;
-  write_report(report, ReportFormat::Text, text);
-  write_report(report, ReportFormat::Html, html);
+  write_report(report, obs::Format::Text, text);
+  write_report(report, obs::Format::Html, html);
   EXPECT_NE(text.str().find("hot spots"), std::string::npos);
   EXPECT_NE(text.str().find("communication matrix"), std::string::npos);
   // HTML must escape the title, not interpolate it raw — in the run
@@ -378,8 +378,8 @@ TEST(RunReport, TextAndHtmlRender) {
   rec.input = opts.title;
   rec.metrics["elapsed_s"] = 1.0;
   std::ostringstream scaling_html, history_html;
-  scaling.write_html(scaling_html);
-  ledger::write_history({rec}, ledger::HistoryFormat::Html, history_html);
+  sweep::write_scaling_report(scaling, obs::Format::Html, scaling_html);
+  ledger::write_history({rec}, obs::Format::Html, history_html);
   for (const auto& page :
        {html.str(), scaling_html.str(), history_html.str()}) {
     EXPECT_EQ(page.find("<&>"), std::string::npos);
@@ -426,16 +426,8 @@ TEST(RunReport, RecoverySummaryReconcilesAndRenders) {
   write_report_json(report, json);
   EXPECT_NE(json.str().find("\"recovery\""), std::string::npos);
   EXPECT_NE(json.str().find("\"retransmits\""), std::string::npos);
-  write_report(report, ReportFormat::Text, text);
+  write_report(report, obs::Format::Text, text);
   EXPECT_NE(text.str().find("recovery:"), std::string::npos);
-}
-
-TEST(RunReport, FormatParsing) {
-  EXPECT_EQ(parse_report_format(""), ReportFormat::Text);
-  EXPECT_EQ(parse_report_format("text"), ReportFormat::Text);
-  EXPECT_EQ(parse_report_format("json"), ReportFormat::Json);
-  EXPECT_EQ(parse_report_format("html"), ReportFormat::Html);
-  EXPECT_FALSE(parse_report_format("yaml").has_value());
 }
 
 // ------------------------------------------------------- metrics view

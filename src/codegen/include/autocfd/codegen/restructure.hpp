@@ -15,7 +15,9 @@
 //     synchronization point of the SyncPlan;
 //   * scalar reductions detected in field loops get an AllReduce
 //     right after the nest;
-//   * mirror-image loops are bracketed by PipelineStart/PipelineEnd.
+//   * every pipeline group of the SyncPlan gets one PipelineStart per
+//     (dim, dir) at its start slot and one PipelineEnd at its end slot,
+//     each carrying the flow boundaries of all member sweeps.
 #pragma once
 
 #include <map>

@@ -50,7 +50,6 @@ struct Restructurer {
   SpmdMeta* meta;
   bool warned_invariant_read = false;
   int reduction_ordinal = 0;
-  int pipeline_ordinal = 0;
 
   /// Registers the wire tags of one aggregated halo exchange (one per
   /// cut grid dimension) and stamps them into the statement.
@@ -315,7 +314,14 @@ struct Restructurer {
     for (std::size_t i = 0; i < list.size(); ++i) {
       Stmt& s = *list[i];
       if (const auto* fl = field_loop_for(unit, s)) {
+        // A pipelined loop sends its boundary before it reduces:
+        // downstream ranks wait for the send before they can reach the
+        // collective.
         std::size_t insert_at = i + 1;
+        while (insert_at < list.size() &&
+               list[insert_at]->kind == StmtKind::PipelineEnd) {
+          ++insert_at;
+        }
         // One AllReduce per distinct true reduction variable.
         std::vector<std::string> done;
         for (const auto& red : fl->reductions) {
@@ -345,73 +351,6 @@ struct Restructurer {
       insert_allreduces(unit, s.else_body);
     }
   }
-
-  // ---- pipelines -----------------------------------------------------------
-
-  void insert_pipelines(fortran::ProgramUnit& unit, StmtList& list,
-                        const sync::SyncPlan& plan,
-                        std::vector<const Stmt*>& done) {
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      Stmt& s = *list[i];
-      // Find a pipeline plan whose loop is this statement.
-      const sync::PipelinePlan* pp = nullptr;
-      for (const auto& cand : plan.pipelines) {
-        if (cand.site->loop->loop == &s) {
-          pp = &cand;
-          break;
-        }
-      }
-      if (pp && std::find(done.begin(), done.end(), &s) == done.end()) {
-        done.push_back(&s);
-        fortran::HaloSpec flow;
-        flow.array = pp->plan.array;
-        flow.lo_width = pp->plan.flow_halo.lo;
-        flow.hi_width = pp->plan.flow_halo.hi;
-        // One wire tag per (pipeline, dimension, direction), shared by
-        // the PipelineStart that receives the boundary and the
-        // PipelineEnd that sends it downstream.
-        const int this_pipeline = pipeline_ordinal++;
-        std::vector<int> wave_tags;
-        for (const auto& [dim, dir] : pp->plan.pipeline_dims) {
-          sync::CommSite site;
-          site.kind = sync::CommSite::Kind::Pipeline;
-          site.ordinal = this_pipeline;
-          site.dim = dim;
-          site.dir = dir;
-          site.label = "pipeline#" + std::to_string(this_pipeline) + " " +
-                       pp->plan.array + " dim" + std::to_string(dim) +
-                       (dir > 0 ? "+" : "-");
-          wave_tags.push_back(meta->tags.add(site));
-        }
-        std::size_t at = i;
-        std::size_t wave = 0;
-        for (const auto& [dim, dir] : pp->plan.pipeline_dims) {
-          auto start = fortran::make_stmt(StmtKind::PipelineStart, s.loc);
-          start->pipeline_dim = dim;
-          start->pipeline_dir = dir;
-          start->halo_arrays = {flow};
-          start->comm_tags = {wave_tags[wave++]};
-          list.insert(list.begin() + static_cast<std::ptrdiff_t>(at++),
-                      std::move(start));
-        }
-        std::size_t after = at + 1;  // loop shifted right by inserts
-        wave = 0;
-        for (const auto& [dim, dir] : pp->plan.pipeline_dims) {
-          auto end = fortran::make_stmt(StmtKind::PipelineEnd, s.loc);
-          end->pipeline_dim = dim;
-          end->pipeline_dir = dir;
-          end->halo_arrays = {flow};
-          end->comm_tags = {wave_tags[wave++]};
-          list.insert(list.begin() + static_cast<std::ptrdiff_t>(after++),
-                      std::move(end));
-        }
-        i = after - 1;
-        continue;
-      }
-      insert_pipelines(unit, s.body, plan, done);
-      insert_pipelines(unit, s.else_body, plan, done);
-    }
-  }
 };
 
 }  // namespace
@@ -429,29 +368,80 @@ SpmdMeta restructure(
   Restructurer r{&opts, &loops_by_unit, &diags, &meta, false};
   r.compute_ghosts(deps, plan);
 
-  // 1. Communication statements at the combined synchronization points.
-  //    Collected first (slot indices reference the original statement
-  //    lists), applied per block in descending index order so earlier
-  //    indices stay valid.
+  // 1. Communication statements at the combined synchronization points
+  //    and the pipeline hand-offs. Collected first (slot indices
+  //    reference the original statement lists) in their order within a
+  //    slot: pipeline ends, then the halo exchange, then pipeline
+  //    starts. Applied per block in descending index order, and within
+  //    a slot in reverse, so earlier indices stay valid.
   struct Insertion {
     const fortran::StmtList* block;
     int index;
     fortran::StmtPtr stmt;
   };
   std::vector<Insertion> insertions;
-  for (std::size_t k = 0; k < plan.points.size(); ++k) {
-    const auto& point = plan.points[k];
-    const auto& slot = prog.slot(point.chosen_slot);
+  const auto insert_at = [&](int slot_ordinal, fortran::StmtPtr stmt) {
+    const auto& slot = prog.slot(slot_ordinal);
     if (!slot.source_block) {
       diags.error({}, "synchronization point has no source location");
-      continue;
+      return;
     }
+    insertions.push_back(
+        Insertion{slot.source_block, slot.index, std::move(stmt)});
+  };
+  std::vector<fortran::StmtPtr> halos;
+  for (std::size_t k = 0; k < plan.points.size(); ++k) {
     auto halo = fortran::make_stmt(StmtKind::HaloExchange);
-    halo->halo_arrays = sync::SyncPlan::halos_for(point);
+    halo->halo_arrays = sync::SyncPlan::halos_for(plan.points[k]);
     r.register_halo_tags(*halo, static_cast<int>(k));
-    insertions.push_back(Insertion{slot.source_block, slot.index,
-                                   std::move(halo)});
+    halos.push_back(std::move(halo));
   }
+  // One wire tag per (pipeline group, dimension, direction), shared by
+  // the PipelineStart that receives the boundaries and the PipelineEnd
+  // that sends them downstream.
+  std::vector<std::vector<fortran::HaloSpec>> flows;
+  std::vector<std::vector<int>> wave_tags;
+  for (std::size_t g = 0; g < plan.pipeline_groups.size(); ++g) {
+    const auto& group = plan.pipeline_groups[g];
+    flows.push_back(plan.flows_for(group));
+    std::string arrays;
+    for (const auto& f : flows.back()) {
+      arrays += (arrays.empty() ? "" : ",") + f.array;
+    }
+    auto& tags = wave_tags.emplace_back();
+    for (const auto& [dim, dir] : group.dims) {
+      sync::CommSite site;
+      site.kind = sync::CommSite::Kind::Pipeline;
+      site.ordinal = static_cast<int>(g);
+      site.dim = dim;
+      site.dir = dir;
+      site.label = "pipeline#" + std::to_string(g) + " {" + arrays + "} dim" +
+                   std::to_string(dim) + (dir > 0 ? "+" : "-");
+      tags.push_back(meta.tags.add(site));
+    }
+  }
+  const auto hand_offs = [&](StmtKind kind) {
+    for (std::size_t g = 0; g < plan.pipeline_groups.size(); ++g) {
+      const auto& group = plan.pipeline_groups[g];
+      for (std::size_t w = 0; w < group.dims.size(); ++w) {
+        auto stmt = fortran::make_stmt(kind);
+        stmt->pipeline_dim = group.dims[w].first;
+        stmt->pipeline_dir = group.dims[w].second;
+        stmt->halo_arrays = flows[g];
+        stmt->comm_tags = {wave_tags[g][w]};
+        insert_at(kind == StmtKind::PipelineEnd ? group.end_slot
+                                                : group.start_slot,
+                  std::move(stmt));
+      }
+    }
+  };
+  hand_offs(StmtKind::PipelineEnd);
+  // Halo points sharing a slot run latest-first.
+  for (std::size_t k = halos.size(); k-- > 0;) {
+    insert_at(plan.points[k].chosen_slot, std::move(halos[k]));
+  }
+  hand_offs(StmtKind::PipelineStart);
+  std::reverse(insertions.begin(), insertions.end());
   std::stable_sort(insertions.begin(), insertions.end(),
                    [](const Insertion& a, const Insertion& b) {
                      if (a.block != b.block) return a.block < b.block;
@@ -465,7 +455,6 @@ SpmdMeta restructure(
   }
 
   // 2. Per-unit transformations.
-  std::vector<const Stmt*> pipelines_done;
   for (auto& unit : file.units) {
     r.add_runtime_common(unit);
     r.rewrite_array_decls(unit);
@@ -479,7 +468,6 @@ SpmdMeta restructure(
       }
     }
     r.insert_allreduces(unit, unit.body);
-    r.insert_pipelines(unit, unit.body, plan, pipelines_done);
   }
 
   assign_stmt_ids(file);

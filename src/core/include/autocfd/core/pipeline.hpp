@@ -119,8 +119,9 @@ struct ParallelProgram {
 /// configuration, extracted without restructuring or running: the
 /// combined synchronization points with their aggregated halo content,
 /// the ghost widths restructuring would allocate per status array
-/// (they pad the slab payloads of every halo exchange), and the
-/// self-dependent loops with their pipeline geometry.
+/// (they pad the slab payloads of every halo exchange), the
+/// self-dependent loops with their pipeline geometry, and the pipeline
+/// hand-offs they share.
 struct PlanningFacts {
   Report report;
   partition::Grid grid;
@@ -142,9 +143,18 @@ struct PlanningFacts {
     /// dir); empty when the partition leaves the loop local.
     std::vector<std::pair<int, int>> pipeline_dims;
     partition::HaloWidths pre_halo;
-    partition::HaloWidths flow_halo;
   };
   std::vector<SelfDep> self_deps;
+
+  /// One pipeline hand-off (SyncPlan::pipeline_groups): the source
+  /// lines of the combined sweeps and the flow boundaries it carries
+  /// along each (dim, dir).
+  struct PipelineGroup {
+    std::vector<int> lines;  // distinct member loop lines
+    std::vector<std::pair<int, int>> dims;
+    std::vector<fortran::HaloSpec> flows;
+  };
+  std::vector<PipelineGroup> pipelines;
 };
 
 /// Full analysis (classify -> depend -> sync plan) for one candidate

@@ -333,8 +333,21 @@ PlanningFacts analyze_for_plan(std::string_view source,
     sd.kind = pp.plan.kind;
     sd.pipeline_dims = pp.plan.pipeline_dims;
     sd.pre_halo = pp.plan.pre_halo;
-    sd.flow_halo = pp.plan.flow_halo;
     facts.self_deps.push_back(std::move(sd));
+  }
+  for (const auto& group : analysis.plan.pipeline_groups) {
+    PlanningFacts::PipelineGroup pg;
+    for (const int m : group.members) {
+      const int line = analysis.plan.pipelines[static_cast<std::size_t>(m)]
+                           .site->loop->loop->loc.line;
+      if (std::find(pg.lines.begin(), pg.lines.end(), line) ==
+          pg.lines.end()) {
+        pg.lines.push_back(line);
+      }
+    }
+    pg.dims = group.dims;
+    pg.flows = analysis.plan.flows_for(group);
+    facts.pipelines.push_back(std::move(pg));
   }
   return facts;
 }

@@ -186,13 +186,15 @@ class StmtPrinter {
             << ", mpi_comm_world, ierr)\n";
         return;
       case StmtKind::PipelineStart:
-        os_ << "call acfd_pipeline_recv(dim=" << s.pipeline_dim
-            << ", dir=" << s.pipeline_dir << ")  ! mirror-image sweep entry\n";
+      case StmtKind::PipelineEnd: {
+        const bool start = s.kind == StmtKind::PipelineStart;
+        os_ << "call acfd_pipeline_" << (start ? "recv" : "send")
+            << "(dim=" << s.pipeline_dim << ", dir=" << s.pipeline_dir;
+        for (const auto& h : s.halo_arrays) os_ << ", " << h.array;
+        os_ << ")  ! mirror-image sweep " << (start ? "entry" : "exit")
+            << '\n';
         return;
-      case StmtKind::PipelineEnd:
-        os_ << "call acfd_pipeline_send(dim=" << s.pipeline_dim
-            << ", dir=" << s.pipeline_dir << ")  ! mirror-image sweep exit\n";
-        return;
+      }
       case StmtKind::Barrier:
         os_ << "call mpi_barrier(mpi_comm_world, ierr)\n";
         return;

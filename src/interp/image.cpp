@@ -1,6 +1,7 @@
 #include "autocfd/interp/image.hpp"
 
 #include <algorithm>
+#include <set>
 
 namespace autocfd::interp {
 
@@ -41,6 +42,10 @@ struct Resolver {
   std::unordered_map<std::string, int>* array_by_key;
   std::vector<ArraySlotInfo>* arrays;
   int* num_scalars;
+  /// Every name any unit lists in a common block. A variable is global
+  /// if ANY unit lists it (the subset requires consistent usage), so
+  /// the set is built once per image, not scanned per lookup.
+  std::set<std::string, std::less<>> common_names;
 
   const fortran::ProgramUnit* unit = nullptr;
 
@@ -50,12 +55,7 @@ struct Resolver {
   }
 
   bool is_common_var(std::string_view name) const {
-    // A variable is global if ANY unit lists it in a common block; the
-    // subset requires consistent usage, so check all units.
-    for (const auto& u : file->units) {
-      if (u.in_common(name)) return true;
-    }
-    return false;
+    return common_names.contains(name);
   }
 
   int scalar_slot(std::string_view name) {
@@ -233,7 +233,12 @@ ProgramImage ProgramImage::build(fortran::SourceFile& file,
   Resolver r{&image,          &file,
              &diags,          &image.scalar_by_key_,
              &image.array_by_key_, &image.arrays_,
-             &image.num_scalars_};
+             &image.num_scalars_, {}};
+  for (const auto& u : file.units) {
+    for (const auto& blk : u.commons) {
+      r.common_names.insert(blk.vars.begin(), blk.vars.end());
+    }
+  }
   for (auto& u : file.units) {
     r.resolve_unit(u);
   }

@@ -90,19 +90,6 @@ std::vector<double> Comm::recv(int src, int tag) {
   return cluster_->recv_impl(rank_, src, tag);
 }
 
-std::vector<double> Comm::sendrecv(int peer, int tag,
-                                   std::vector<double> data) {
-  // Deterministic pairing: lower rank sends first. With buffered sends
-  // either order works, but keeping it fixed makes traces stable.
-  if (rank_ < peer) {
-    send(peer, tag, std::move(data));
-    return recv(peer, tag);
-  }
-  auto in = recv(peer, tag);
-  send(peer, tag, std::move(data));
-  return in;
-}
-
 double Comm::allreduce_max(double value, int site) {
   return cluster_->allreduce_impl(rank_, value, /*is_max=*/true,
                                   EventKind::AllReduce, site);

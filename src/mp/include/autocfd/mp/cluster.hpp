@@ -27,9 +27,9 @@
 
 namespace autocfd::mp {
 
-/// Per-rank cost/traffic counters. A sendrecv counts as two logical
-/// messages on each rank: one sent, one received. Collectives are
-/// incremented on every participating rank.
+/// Per-rank cost/traffic counters. A send counts on the sender, its
+/// matching recv on the receiver. Collectives are incremented on every
+/// participating rank.
 struct RankStats {
   double compute_time = 0.0;
   double comm_time = 0.0;
@@ -82,10 +82,6 @@ class Comm {
                     long long n_messages);
   /// Blocking receive from a specific source.
   [[nodiscard]] std::vector<double> recv(int src, int tag);
-  /// Paired exchange (the halo-swap workhorse); both sides pay one
-  /// message each way and synchronize clocks like MPI_Sendrecv.
-  [[nodiscard]] std::vector<double> sendrecv(int peer, int tag,
-                                             std::vector<double> data);
 
   /// Collectives take an optional sync-plan `site` id so an attached
   /// EventSink can attribute the rendezvous (all ranks must pass the

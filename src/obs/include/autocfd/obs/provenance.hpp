@@ -4,7 +4,8 @@
 // loop A/R/C/O per status array, splitting a self-dependence into its
 // flow and anti halves, hoisting a sync region's start point out of a
 // loop/branch/call (or pinning it), merging upper-bound regions into
-// one synchronization point — appends a structured entry here. The log
+// one synchronization point, sharing one pipeline hand-off between
+// mirror-image sweeps — appends a structured entry here. The log
 // answers "why did the parallelizer do that?" without re-running the
 // analysis under a debugger, and its JSON form is schema-stable so
 // tools and tests can consume it.
@@ -26,6 +27,7 @@ enum class DecisionKind {
   RegionPin,           // sync: hoisting stopped (reader/goto/boundary)
   RegionExtent,        // sync: final upper-bound region of one pair
   CombineMerge,        // sync: one synchronization point for N regions
+  PipelineMerge,       // sync: one pipeline hand-off for N sweeps
   PartitionChoice,     // core: partition resolved from directives
   PlannerOverride,     // plan: profile-guided plan overrode a heuristic
 };

@@ -15,6 +15,7 @@ const char* decision_kind_name(DecisionKind kind) {
     case DecisionKind::RegionPin: return "region_pin";
     case DecisionKind::RegionExtent: return "region_extent";
     case DecisionKind::CombineMerge: return "combine_merge";
+    case DecisionKind::PipelineMerge: return "pipeline_merge";
     case DecisionKind::PartitionChoice: return "partition_choice";
     case DecisionKind::PlannerOverride: return "planner_override";
   }
@@ -30,6 +31,7 @@ const char* decision_kind_tag(DecisionKind kind) {
     case DecisionKind::RegionPin: return "pin";
     case DecisionKind::RegionExtent: return "region";
     case DecisionKind::CombineMerge: return "combine";
+    case DecisionKind::PipelineMerge: return "pipeline";
     case DecisionKind::PartitionChoice: return "partition";
     case DecisionKind::PlannerOverride: return "planned";
   }

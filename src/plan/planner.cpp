@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <limits>
 #include <map>
-#include <set>
 
 #include "autocfd/partition/comm_model.hpp"
 
@@ -130,40 +129,41 @@ Score score_candidate(const PlanningFacts& facts, const BlockPartition& part,
     }
   }
   // Pipelined sweeps serialize: the chain through B blocks costs B x
-  // the per-rank loop compute (the straggler's block once at its
-  // factor) plus (B-1) hand-offs per execution, each paying one
-  // latency per grid line of the owned face (send_chunked).
+  // the per-rank compute of every sweep sharing the hand-off, plus
+  // (B-1) hand-offs per execution. One hand-off pays one latency per
+  // grid line of the owned face (send_chunked) and the bytes of every
+  // member array's boundary.
   Score sc;
-  std::set<int> pipelined_lines;
-  for (const auto& sd : facts.self_deps) {
-    if (sd.pipeline_dims.empty()) continue;
-    if (!pipelined_lines.insert(sd.line).second) continue;
-    const double w_loop = input.loop_time(sd.line);
+  for (const auto& pg : facts.pipelines) {
+    double w_loops = 0.0;
+    for (const int line : pg.lines) w_loops += input.loop_time(line);
 
     long long chain = 1;
     double handoffs = 0.0;
     const auto& sg0 = part.subgrid(0);
-    for (const auto& [dim, dir] : sd.pipeline_dims) {
+    for (const auto& [dim, dir] : pg.dims) {
       const auto du = static_cast<std::size_t>(dim);
       const int cuts = facts.spec.cuts[du];
       chain *= cuts;
       long long lines = 1;
-      const int w = dir > 0 ? sd.flow_halo.lo[du] : sd.flow_halo.hi[du];
       for (int d = 0; d < facts.grid.rank(); ++d) {
         if (d == dim) continue;
         lines *= sg0.extent(d);
       }
-      const long long bytes =
-          8 * slab_elements(facts, part, 0, sd.array, dim, w);
+      long long bytes = 0;
+      for (const auto& f : pg.flows) {
+        const int w = dir > 0 ? f.lo_width[du] : f.hi_width[du];
+        bytes += 8 * slab_elements(facts, part, 0, f.array, dim, w);
+      }
       const double handoff =
           static_cast<double>(lines) * opts.machine.net_latency +
           static_cast<double>(bytes) * opts.machine.net_byte_time;
       handoffs += static_cast<double>(cuts - 1) * handoff;
     }
-    // The loop's own per-rank share is already in the base compute
+    // The sweeps' own per-rank share is already in the base compute
     // below; the chain adds the (B-1) serialized block shares and the
     // boundary hand-offs.
-    const double per_rank = w_loop / nranks;
+    const double per_rank = w_loops / nranks;
     sc.pipeline_s += per_rank * (static_cast<double>(chain) - 1.0) +
                      execs * handoffs;
   }

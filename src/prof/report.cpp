@@ -50,10 +50,13 @@ RunReport build_run_report(const core::ParallelProgram& program,
       build_comm_matrix(trace, &program.meta.tags, options.timeline_buckets);
 
   // Merge rationales, in emission order: the i-th CombineMerge entry
-  // explains the combined sync point with halo ordinal i.
+  // explains the combined sync point with halo ordinal i, the i-th
+  // PipelineMerge entry the pipeline group with ordinal i.
   std::vector<const obs::ProvenanceEntry*> merges;
+  std::vector<const obs::ProvenanceEntry*> pipeline_merges;
   if (provenance != nullptr) {
     merges = provenance->of_kind(obs::DecisionKind::CombineMerge);
+    pipeline_merges = provenance->of_kind(obs::DecisionKind::PipelineMerge);
   }
 
   const auto& sites = program.meta.tags.sites();
@@ -78,9 +81,13 @@ RunReport build_run_report(const core::ParallelProgram& program,
       cost.wait_s += coll.wait_s;
       cost.cost_s += coll.cost_s;
     }
-    if (site.kind == sync::CommSite::Kind::Halo && site.ordinal >= 0 &&
-        static_cast<std::size_t>(site.ordinal) < merges.size()) {
-      cost.why = merges[static_cast<std::size_t>(site.ordinal)]->rationale;
+    const auto* why = site.kind == sync::CommSite::Kind::Halo ? &merges
+                      : site.kind == sync::CommSite::Kind::Pipeline
+                          ? &pipeline_merges
+                          : nullptr;
+    if (why != nullptr && site.ordinal >= 0 &&
+        static_cast<std::size_t>(site.ordinal) < why->size()) {
+      cost.why = (*why)[static_cast<std::size_t>(site.ordinal)]->rationale;
     }
     report.sites.push_back(std::move(cost));
   }

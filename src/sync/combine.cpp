@@ -6,14 +6,6 @@ namespace autocfd::sync {
 
 namespace {
 
-std::vector<int> intersect(const std::vector<int>& a,
-                           const std::vector<int>& b) {
-  std::vector<int> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
 std::vector<const SyncRegion*> sorted_valid(
     const std::vector<SyncRegion>& regions) {
   std::vector<const SyncRegion*> out;
@@ -31,6 +23,14 @@ std::vector<const SyncRegion*> sorted_valid(
 }
 
 }  // namespace
+
+std::vector<int> intersect_slots(const std::vector<int>& a,
+                                 const std::vector<int>& b) {
+  std::vector<int> out;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(out));
+  return out;
+}
 
 std::vector<int> CombinedSync::member_ids() const {
   std::vector<int> ids;
@@ -61,7 +61,7 @@ void finalize_combined(const InlinedProgram& prog, CombinedSync& group,
 }
 
 int choose_slot(const InlinedProgram& prog,
-                const std::vector<int>& intersection) {
+                const std::vector<int>& intersection, bool latest) {
   int best = -1;
   for (const int s : intersection) {
     if (best < 0) {
@@ -72,7 +72,8 @@ int choose_slot(const InlinedProgram& prog,
     const auto& cur = prog.slot(best);
     if (cand.call_depth() < cur.call_depth() ||
         (cand.call_depth() == cur.call_depth() &&
-         cand.ordinal > cur.ordinal)) {
+         (latest ? cand.ordinal > cur.ordinal
+                 : cand.ordinal < cur.ordinal))) {
       best = s;
     }
   }
@@ -92,7 +93,7 @@ std::vector<CombinedSync> combine_min(const InlinedProgram& prog,
       continue;
     }
     if (stats != nullptr) ++stats->intersections_evaluated;
-    auto next = intersect(current.intersection, r->slots);
+    auto next = intersect_slots(current.intersection, r->slots);
     if (next.empty()) {
       finalize_combined(prog, current, prov, stats);
       out.push_back(std::move(current));
@@ -124,7 +125,7 @@ std::vector<CombinedSync> combine_pairwise(
     group.intersection = sorted[i]->slots;
     if (i + 1 < sorted.size()) {
       if (stats != nullptr) ++stats->intersections_evaluated;
-      const auto next = intersect(group.intersection, sorted[i + 1]->slots);
+      const auto next = intersect_slots(group.intersection, sorted[i + 1]->slots);
       if (!next.empty()) {
         if (stats != nullptr) ++stats->merges;
         group.members.push_back(sorted[i + 1]);

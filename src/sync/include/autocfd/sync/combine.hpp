@@ -53,11 +53,18 @@ struct CombineStats {
 void finalize_combined(const InlinedProgram& prog, CombinedSync& group,
                        obs::ProvenanceLog* prov, CombineStats* stats);
 
+/// Intersection of two sorted slot lists.
+[[nodiscard]] std::vector<int> intersect_slots(const std::vector<int>& a,
+                                               const std::vector<int>& b);
+
 /// Picks the synchronization point within an intersection: minimize
 /// call depth (prefer main over subroutine bodies so a shared source
 /// line is not re-executed per call), then maximize the ordinal (as
-/// late as possible, right before the first reader).
+/// late as possible, right before the first reader). With `latest`
+/// false the ordinal is minimized instead (a pipeline hand-off's send
+/// goes as early as possible).
 [[nodiscard]] int choose_slot(const InlinedProgram& prog,
-                              const std::vector<int>& intersection);
+                              const std::vector<int>& intersection,
+                              bool latest = true);
 
 }  // namespace autocfd::sync

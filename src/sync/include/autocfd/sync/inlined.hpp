@@ -41,6 +41,12 @@ struct INode {
   std::set<std::string> writes;
   /// Subtree contains a goto (section 5.2 rule 1).
   bool has_goto = false;
+  /// Subtree contains a return or stop that can skip what follows it;
+  /// the trailing return of a subroutine body does not count.
+  bool has_exit = false;
+  /// Subtree contains a collective: a field loop with a true reduction
+  /// (the restructurer appends its AllReduce) or a barrier.
+  bool has_collective = false;
 };
 
 /// A slot: a legal insertion gap. `index` is the position within the

@@ -40,11 +40,40 @@ struct PipelinePlan {
   depend::MirrorImagePlan plan;
 };
 
+/// One pipeline hand-off shared by mirror-image sweeps along the same
+/// (dim, dir) list: section 5's combining applied to the flow halves.
+/// The restructurer emits one PipelineStart per (dim, dir) at
+/// `start_slot`, after any halo exchange there, and one PipelineEnd per
+/// (dim, dir) at `end_slot`, before any halo exchange there. Each
+/// carries the flow boundary of every member array.
+struct PipelineGroup {
+  /// Indices into SyncPlan::pipelines, in document order. A loop in a
+  /// subroutine reached from several call sites has one plan per site;
+  /// they form one group whose hand-off stays around the loop.
+  std::vector<int> members;
+  std::vector<std::pair<int, int>> dims;
+  int start_slot = -1;
+  int end_slot = -1;
+};
+
+/// Groups the pipelines under `strategy`. A hand-off start hoists, and
+/// an end sinks, across statements that neither read nor write the
+/// member's array, out of subroutine bodies, and never across a halo
+/// point of `points`, a collective, a goto or exit, or another
+/// pipeline. Min merges maximal runs of neighbouring sweeps, Pairwise
+/// merges neighbouring pairs, None keeps one hand-off per sweep. Every
+/// group lands in the provenance log.
+[[nodiscard]] std::vector<PipelineGroup> combine_pipelines(
+    const InlinedProgram& prog, const std::vector<PipelinePlan>& pipelines,
+    const std::vector<CombinedSync>& points, CombineStrategy strategy,
+    obs::ProvenanceLog* prov = nullptr, CombineStats* stats = nullptr);
+
 class SyncPlan {
  public:
   std::vector<SyncRegion> regions;
   std::vector<CombinedSync> points;
   std::vector<PipelinePlan> pipelines;
+  std::vector<PipelineGroup> pipeline_groups;
 
   [[nodiscard]] int syncs_before() const {
     return static_cast<int>(regions.size());
@@ -58,6 +87,12 @@ class SyncPlan {
   /// array, the element-wise maximum of the member pairs' halos.
   [[nodiscard]] static std::vector<fortran::HaloSpec> halos_for(
       const CombinedSync& point);
+
+  /// Flow boundaries one hand-off of `group` carries: per member array
+  /// the element-wise maximum of its members' flow halos, sorted by
+  /// array name.
+  [[nodiscard]] std::vector<fortran::HaloSpec> flows_for(
+      const PipelineGroup& group) const;
 
   /// Storage for the synthetic pre-sweep pairs of self-dependent loops
   /// (they have no LoopDependence in the DependenceSet).

@@ -17,19 +17,22 @@ struct Builder {
   std::vector<const Stmt*> call_path;
   std::set<std::string> visiting;
 
-  /// Arrays read-with-halo by the field loop rooted at `stmt` under the
-  /// active partition (empty set if the stmt is not a field-loop root).
-  std::set<std::string> halo_reads_of_site(const Stmt& stmt) const {
-    std::set<std::string> out;
+  /// The trace site of the field loop rooted at `stmt`, or null if the
+  /// statement is not a field-loop root. Halo needs and reductions are
+  /// identical for every occurrence, so the first one serves.
+  const depend::TraceSite* site_of(const Stmt& stmt) const {
     for (const auto& site : trace->sites()) {
-      if (site.loop->loop != &stmt) continue;
-      for (const auto& [name, info] : site.loop->arrays) {
-        if (!info.referenced()) continue;
-        if (depend::halo_for_reads(*site.loop, info, *spec).any()) {
-          out.insert(name);
-        }
-      }
-      break;  // halo needs are identical for every occurrence
+      if (site.loop->loop == &stmt) return &site;
+    }
+    return nullptr;
+  }
+
+  /// Arrays the field loop reads with a halo under the active partition.
+  std::set<std::string> halo_reads_of(const ir::FieldLoop& loop) const {
+    std::set<std::string> out;
+    for (const auto& [name, info] : loop.arrays) {
+      if (!info.referenced()) continue;
+      if (depend::halo_for_reads(loop, info, *spec).any()) out.insert(name);
     }
     return out;
   }
@@ -40,6 +43,10 @@ struct Builder {
     node.unit = &unit;
     node.call_path = call_path;
     node.has_goto = stmt.kind == StmtKind::Goto;
+    node.has_exit =
+        stmt.kind == StmtKind::Return || stmt.kind == StmtKind::Stop;
+    node.has_collective = stmt.kind == StmtKind::AllReduce ||
+                          stmt.kind == StmtKind::Barrier;
 
     if (stmt.kind == StmtKind::Call) {
       if (const auto* callee = file->find_unit(stmt.callee);
@@ -49,6 +56,11 @@ struct Builder {
         node.body = make_list(*callee, callee->body);
         call_path.pop_back();
         visiting.erase(callee->name);
+        // Returning at the end of the body skips nothing.
+        if (!node.body.empty() &&
+            node.body.back().stmt->kind == StmtKind::Return) {
+          node.body.back().has_exit = false;
+        }
       }
     } else {
       node.body = make_list(unit, stmt.body);
@@ -61,15 +73,26 @@ struct Builder {
         node.halo_reads.insert(c.halo_reads.begin(), c.halo_reads.end());
         node.writes.insert(c.writes.begin(), c.writes.end());
         node.has_goto = node.has_goto || c.has_goto;
+        node.has_exit = node.has_exit || c.has_exit;
+        node.has_collective = node.has_collective || c.has_collective;
       }
     }
     if (stmt.kind == StmtKind::Assign &&
         stmt.lhs->kind == fortran::ExprKind::ArrayRef) {
       node.writes.insert(stmt.lhs->name);
     }
-    if (stmt.kind == StmtKind::Do) {
-      const auto site_reads = halo_reads_of_site(stmt);
+    if (const auto* site =
+            stmt.kind == StmtKind::Do ? site_of(stmt) : nullptr) {
+      const auto site_reads = halo_reads_of(*site->loop);
       node.halo_reads.insert(site_reads.begin(), site_reads.end());
+      // A true reduction is followed by its AllReduce.
+      node.has_collective =
+          node.has_collective ||
+          std::any_of(site->loop->reductions.begin(),
+                      site->loop->reductions.end(),
+                      [](const ir::ReductionInfo& red) {
+                        return red.kill == nullptr;
+                      });
     }
     return node;
   }

@@ -35,12 +35,10 @@ double SyncPlan::optimization_percent() const {
                             static_cast<double>(regions.size()));
 }
 
-std::vector<fortran::HaloSpec> SyncPlan::halos_for(const CombinedSync& point) {
-  std::map<std::string, partition::HaloWidths> merged;
-  for (const auto* region : point.members) {
-    auto& h = merged[region->pair->array];
-    h = partition::HaloWidths::merge(h, region->pair->halo);
-  }
+namespace {
+
+std::vector<fortran::HaloSpec> to_specs(
+    const std::map<std::string, partition::HaloWidths>& merged) {
   std::vector<fortran::HaloSpec> out;
   out.reserve(merged.size());
   for (const auto& [array, halo] : merged) {
@@ -51,6 +49,28 @@ std::vector<fortran::HaloSpec> SyncPlan::halos_for(const CombinedSync& point) {
     out.push_back(std::move(spec));
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<fortran::HaloSpec> SyncPlan::halos_for(const CombinedSync& point) {
+  std::map<std::string, partition::HaloWidths> merged;
+  for (const auto* region : point.members) {
+    auto& h = merged[region->pair->array];
+    h = partition::HaloWidths::merge(h, region->pair->halo);
+  }
+  return to_specs(merged);
+}
+
+std::vector<fortran::HaloSpec> SyncPlan::flows_for(
+    const PipelineGroup& group) const {
+  std::map<std::string, partition::HaloWidths> merged;
+  for (const int i : group.members) {
+    const auto& mi = pipelines[static_cast<std::size_t>(i)].plan;
+    auto& h = merged[mi.array];
+    h = partition::HaloWidths::merge(h, mi.flow_halo);
+  }
+  return to_specs(merged);
 }
 
 namespace {
@@ -155,6 +175,14 @@ SyncPlan plan_synchronization(const InlinedProgram& prog,
     t.count("intersections_evaluated", stats.intersections_evaluated);
     t.count("merges", stats.merges);
     t.count("points", stats.groups);
+
+    // Pipeline hand-offs combine after the halo points are fixed: a
+    // hand-off never moves across one.
+    CombineStats pstats;
+    plan.pipeline_groups = combine_pipelines(prog, plan.pipelines, plan.points,
+                                             strategy, prov, &pstats);
+    t.count("pipeline_merges", pstats.merges);
+    t.count("pipeline_groups", pstats.groups);
   }
   return plan;
 }

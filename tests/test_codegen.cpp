@@ -152,9 +152,9 @@ TEST(Restructure, MirrorLoopGetsPipelineBrackets) {
       "end\n",
       "4x1");
   const auto& src = program->parallel_source;
-  const auto start = src.find("acfd_pipeline_recv(dim=0, dir=1)");
+  const auto start = src.find("acfd_pipeline_recv(dim=0, dir=1, v)");
   const auto loop = src.find("do i = max(2, acfd_lo1)");
-  const auto end = src.find("acfd_pipeline_send(dim=0, dir=1)");
+  const auto end = src.find("acfd_pipeline_send(dim=0, dir=1, v)");
   ASSERT_NE(start, std::string::npos) << src;
   ASSERT_NE(end, std::string::npos);
   EXPECT_LT(start, loop);

@@ -13,11 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 #include <sstream>
 
 #include "autocfd/core/pipeline.hpp"
 #include "autocfd/fault/fault.hpp"
 #include "autocfd/fortran/parser.hpp"
+#include "autocfd/trace/check.hpp"
 #include "autocfd/trace/recorder.hpp"
 
 namespace autocfd::core {
@@ -383,6 +385,207 @@ TEST_P(RecoveryEquivalence, LossyRunsStayEquivalentAcrossEnginesAndReruns) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RecoveryEquivalence,
                          ::testing::Range(1u, 7u));
+
+// --- Sweeps in subroutines ---------------------------------------------------
+
+/// A frame calling 2-4 self-dependent sweep subroutines back to back,
+/// the aerofoil's mirror-image shape. Variants by seed: every sweep
+/// along dim 0 upwards or a random (dim, dir) each; independent sweeps,
+/// or each sweep reading the previous sweep's array (combining must
+/// refuse); the first sweep called once more after the others (its
+/// subroutine then has two call sites); a halo reader or a true
+/// reduction between two of the calls.
+struct SweepProgram {
+  std::string source;
+  std::vector<std::string> arrays;
+  bool uniform = false;
+  bool dependent = false;
+  bool twice = false;
+  bool barrier = false;
+};
+
+SweepProgram generate_sweeps(unsigned seed) {
+  std::mt19937 rng(seed);
+  const auto pick = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  SweepProgram out;
+  out.uniform = seed % 3 != 2;
+  out.dependent = seed % 3 == 0;
+  out.twice = seed % 4 == 1;
+  out.barrier = seed % 5 >= 3;
+  const int n_sweeps = pick(2, 4);
+  out.arrays = {"g", "h"};
+  for (int k = 0; k < n_sweeps; ++k) {
+    out.arrays.push_back(std::string("s").append(std::to_string(k)));
+  }
+
+  std::ostringstream decls;
+  decls << "parameter (n = 14, m = 11)\n";
+  for (const auto& a : out.arrays) decls << "real " << a << "(n, m)\n";
+  decls << "common /f/";
+  for (std::size_t a = 0; a < out.arrays.size(); ++a) {
+    decls << (a == 0 ? " " : ", ") << out.arrays[a];
+  }
+  decls << "\nreal smax\ninteger i, j\n";
+
+  std::ostringstream os;
+  os << "!$acfd grid 14 11\n!$acfd status";
+  for (const auto& a : out.arrays) os << ' ' << a;
+  os << "\nprogram sweeps\n" << decls.str() << "integer it\n";
+  os << "do i = 1, n\n  do j = 1, m\n";
+  for (std::size_t a = 0; a < out.arrays.size(); ++a) {
+    os << "    " << out.arrays[a] << "(i, j) = 0.01 * " << (a + 1)
+       << " * (i + 2 * j)\n";
+  }
+  os << "  end do\nend do\n";
+  os << "do it = 1, 3\n"
+     << "  do i = 2, n - 1\n    do j = 2, m - 1\n"
+     << "      g(i, j) = 0.5 * g(i, j) + 0.1 * (s0(i - 1, j) + s0(i + 1, j))\n"
+     << "    end do\n  end do\n";
+  for (int k = 0; k < n_sweeps; ++k) {
+    os << "  call sw" << k << "\n";
+    if (!out.barrier || k != n_sweeps - 2) continue;
+    if (seed % 5 == 3) {
+      // g was written before the calls; reading it across a cut needs
+      // an exchange.
+      os << "  do i = 2, n - 1\n    do j = 2, m - 1\n"
+         << "      h(i, j) = 0.5 * (g(i - 1, j) + g(i, j + 1))\n"
+         << "    end do\n  end do\n";
+    } else {
+      os << "  smax = 0.0\n  do i = 1, n\n    do j = 1, m\n"
+         << "      smax = max(smax, abs(g(i, j)))\n"
+         << "    end do\n  end do\n  write(6, *) smax\n";
+    }
+  }
+  if (out.twice) os << "  call sw0\n";
+  os << "end do\nend\n";
+
+  for (int k = 0; k < n_sweeps; ++k) {
+    const auto& v = out.arrays[static_cast<std::size_t>(k) + 2];
+    // (dim, dir): 0 = dim 0 up, 1 = dim 0 down, 2 = dim 1 up.
+    const int shape = out.uniform ? 0 : pick(0, 2);
+    const bool mixed = pick(0, 1) == 1;
+    std::string flow, anti;
+    os << "subroutine sw" << k << "\n" << decls.str();
+    switch (shape) {
+      case 0:
+        os << "do i = 3, n - 2\n  do j = 3, m - 2\n";
+        flow = v + "(i - 1, j)";
+        anti = v + "(i + 1, j)";
+        break;
+      case 1:
+        os << "do i = n - 2, 3, -1\n  do j = 3, m - 2\n";
+        flow = v + "(i + 1, j)";
+        anti = v + "(i - 1, j)";
+        break;
+      default:
+        os << "do i = 3, n - 2\n  do j = 3, m - 2\n";
+        flow = v + "(i, j - 1)";
+        anti = v + "(i, j + 1)";
+        break;
+    }
+    os << "    " << v << "(i, j) = 0.5 * " << v << "(i, j) + 0.2 * " << flow;
+    if (mixed) os << " &\n      + 0.1 * " << anti;
+    os << " &\n      + 0.05 * g(i, j)";
+    if (out.dependent && k > 0) os << " + 0.05 * s" << (k - 1) << "(i, j)";
+    os << "\n  end do\nend do\nreturn\nend\n";
+  }
+  out.source = os.str();
+  return out;
+}
+
+struct PipelineCounts {
+  int groups = 0;  // distinct pipeline hand-offs
+  int loops = 0;   // pipelined sweeps
+};
+
+PipelineCounts pipeline_counts(const ParallelProgram& program) {
+  PipelineCounts c;
+  std::set<int> ordinals;
+  for (const auto& site : program.meta.tags.sites()) {
+    if (site.kind == sync::CommSite::Kind::Pipeline) {
+      ordinals.insert(site.ordinal);
+    }
+  }
+  c.groups = static_cast<int>(ordinals.size());
+  c.loops = program.report.pipelined_loops;
+  return c;
+}
+
+void expect_matches(const codegen::SeqRunResult& seq,
+                    const std::map<std::string, std::vector<double>>& par,
+                    const std::vector<std::string>& arrays,
+                    std::string_view label) {
+  for (const auto& name : arrays) {
+    const auto& s = seq.arrays.at(name);
+    const auto& g = par.at(name);
+    ASSERT_EQ(s.size(), g.size()) << label;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      ASSERT_EQ(s[i], g[i]) << name << "[" << i << "] " << label;
+    }
+  }
+}
+
+class SweepEquivalence : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(SweepEquivalence, CombinedHandOffsKeepResultsAndRefuseDependentSweeps) {
+  const auto prog = generate_sweeps(GetParam());
+  SCOPED_TRACE(prog.source);
+  const auto machine = mp::MachineConfig::pentium_ethernet_1999();
+  auto seq_file = fortran::parse_source(prog.source);
+  const auto seq =
+      codegen::run_sequential_timed(seq_file, prog.arrays, machine);
+
+  for (const auto* part : {"2x1", "3x1", "1x2", "2x2"}) {
+    SCOPED_TRACE(part);
+    DiagnosticEngine diags;
+    auto dirs = Directives::extract(prog.source, diags);
+    ASSERT_FALSE(diags.has_errors()) << diags.dump();
+    dirs.partition = partition::PartitionSpec::parse(part);
+    auto parallel = parallelize(prog.source, dirs);
+
+    // Combining: independent sweeps along one (dim, dir) share a single
+    // hand-off; a sweep reading its predecessor's array never does.
+    const auto counts = pipeline_counts(*parallel);
+    if (prog.uniform && !prog.dependent && !prog.barrier &&
+        counts.loops > 0) {
+      // A twice-called sweep keeps its own hand-off inside its body.
+      EXPECT_EQ(counts.groups, prog.twice ? 2 : 1);
+    }
+    if (prog.dependent && prog.uniform && counts.loops > 0) {
+      EXPECT_EQ(counts.groups, counts.loops - (prog.twice ? 1 : 0));
+    }
+
+    // Both engines, traced: bit-identical to the sequential run and
+    // communication-clean.
+    for (const auto engine :
+         {interp::EngineKind::Bytecode, interp::EngineKind::Tree}) {
+      trace::TraceRecorder recorder;
+      codegen::SpmdRunOptions opts;
+      opts.sink = &recorder;
+      opts.engine = engine;
+      const auto par = parallel->run(machine, opts);
+      expect_matches(seq, par.gathered, prog.arrays,
+                     interp::engine_kind_name(engine));
+      EXPECT_EQ(par.rank0_output, seq.output);
+      EXPECT_TRUE(
+          trace::communication_clean(trace::check_trace(recorder.trace())));
+    }
+
+    // Recovery: a lossy plan retransmits its way to the same results.
+    fault::FaultInjector injector(fault::FaultPlan::parse(
+        "seed=" + std::to_string(GetParam() * 13 + 5) +
+        ",drop=0.08,corrupt=0.04"));
+    codegen::SpmdRunOptions opts;
+    opts.faults = &injector;
+    opts.recovery = mp::RecoveryConfig::parse("default");
+    const auto lossy = parallel->run(machine, opts);
+    expect_matches(seq, lossy.gathered, prog.arrays, "recovery");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SweepEquivalence, ::testing::Range(1u, 17u));
 
 }  // namespace
 }  // namespace autocfd::core

@@ -149,6 +149,38 @@ TEST(SpmdEquivalence, ForwardSweepPipeline) {
   }
 }
 
+// One sweep self-dependent in two arrays: its hand-off must carry both
+// boundaries (it once carried only the first array's, and v diverged).
+constexpr const char* kTwoArraySweep = R"(
+!$acfd grid 24 12
+!$acfd status u v
+program two
+parameter (n = 24, m = 12)
+real u(n, m), v(n, m)
+integer i, j, it
+do i = 1, n
+  do j = 1, m
+    u(i, j) = 0.01 * (i + 2 * j)
+    v(i, j) = 0.02 * (2 * i + j)
+  end do
+end do
+do it = 1, 3
+  do i = 2, n - 1
+    do j = 1, m
+      u(i, j) = 0.5 * u(i, j) + 0.2 * u(i - 1, j) + 0.1 * u(i + 1, j)
+      v(i, j) = 0.5 * v(i, j) + 0.2 * v(i - 1, j) + 0.1 * u(i, j)
+    end do
+  end do
+end do
+end
+)";
+
+TEST(SpmdEquivalence, SweepOverTwoArraysHandsOffBoth) {
+  for (const auto* part : {"2x1", "3x1", "3x2"}) {
+    expect_equivalent(kTwoArraySweep, part);
+  }
+}
+
 // Boundary sections (section 4.2 case 3): fixed-row writes must be
 // guarded to the owning block.
 constexpr const char* kBoundary = R"(

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "autocfd/fortran/parser.hpp"
 #include "autocfd/sync/sync_plan.hpp"
@@ -32,7 +33,10 @@ struct Fixture {
     EXPECT_FALSE(diags.has_errors()) << diags.dump();
   }
 
-  SyncPlan plan() { return plan_synchronization(prog, deps, spec); }
+  SyncPlan plan(CombineStrategy strategy = CombineStrategy::Min,
+                obs::ObsContext* obs = nullptr) {
+    return plan_synchronization(prog, deps, spec, strategy, obs);
+  }
 };
 
 ir::FieldConfig cfg2(std::vector<std::string> arrays) {
@@ -510,6 +514,173 @@ TEST(SyncSelfDep, FlowOnlyNeedsNoSlotSync) {
   EXPECT_EQ(plan.pipelines[0].plan.kind, depend::SelfDepKind::FlowOnly);
   EXPECT_EQ(plan.syncs_before(), 0);
   EXPECT_EQ(plan.syncs_after(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Pipeline hand-off combining (section 5 applied to mirror-image sweeps)
+// ---------------------------------------------------------------------------
+
+/// A frame calling `frame` (main-program statements inside the time
+/// loop) over subroutines sa and sb: forward sweeps along dim 0 of a
+/// and b respectively. `between` lands between the two calls.
+std::string sweep_program(const std::string& between,
+                          const std::string& after = "") {
+  const std::string decls =
+      "real a(16, 16), b(16, 16), c(16, 16), d(16, 16)\n"
+      "real smax\n"
+      "common /f/ a, b, c, d, smax\n"
+      "integer i, j\n";
+  const auto sweep = [&](const std::string& name, const std::string& v) {
+    return "subroutine " + name + "\n" + decls +
+           "do i = 2, 16\n"
+           "  do j = 1, 16\n"
+           "    " + v + "(i, j) = 0.5 * (" + v + "(i - 1, j) + " + v +
+           "(i, j))\n"
+           "  end do\n"
+           "end do\n"
+           "return\n"
+           "end\n";
+  };
+  return "program p\n" + decls + "integer it\n" +
+         "do it = 1, 3\n"
+         "  call sa\n" +
+         between + "  call sb\n" + after + "end do\nend\n" +
+         sweep("sa", "a") + sweep("sb", "b");
+}
+
+std::set<std::string> group_arrays(const SyncPlan& plan,
+                                   const PipelineGroup& g) {
+  std::set<std::string> out;
+  for (const auto& h : plan.flows_for(g)) out.insert(h.array);
+  return out;
+}
+
+TEST(SyncPipelines, BackToBackSweepsInSubroutinesShareOneHandOff) {
+  Fixture f(sweep_program(""), cfg2({"a", "b", "c", "d"}),
+            partition::PartitionSpec{{2, 1}});
+  obs::ObsContext obs;
+  const auto plan = f.plan(CombineStrategy::Min, &obs);
+  ASSERT_EQ(plan.pipelines.size(), 2u);
+  ASSERT_EQ(plan.pipeline_groups.size(), 1u);
+  const auto& g = plan.pipeline_groups[0];
+  EXPECT_EQ(g.members, (std::vector<int>{0, 1}));
+  EXPECT_EQ(g.dims, (std::vector<std::pair<int, int>>{{0, +1}}));
+  EXPECT_EQ(group_arrays(plan, g), (std::set<std::string>{"a", "b"}));
+  // Both points land in main: the start right before `call sa`, the
+  // end right after `call sb`.
+  const auto& start = f.prog.slot(g.start_slot);
+  const auto& end = f.prog.slot(g.end_slot);
+  EXPECT_EQ(start.call_depth(), 0);
+  EXPECT_EQ(end.call_depth(), 0);
+  EXPECT_EQ(start.index, 0);
+  EXPECT_EQ(end.index, 2);
+  EXPECT_EQ(start.source_block, end.source_block);
+  // The merge is explained, naming both sweeps.
+  const auto merges = obs.provenance.of_kind(obs::DecisionKind::PipelineMerge);
+  ASSERT_EQ(merges.size(), 1u);
+  EXPECT_EQ(merges[0]->refs, (std::vector<int>{0, 1}));
+  EXPECT_NE(merges[0]->decision.find("merged 2 sweeps"), std::string::npos);
+}
+
+TEST(SyncPipelines, StrategyNoneKeepsOneHandOffPerSweep) {
+  Fixture f(sweep_program(""), cfg2({"a", "b", "c", "d"}),
+            partition::PartitionSpec{{2, 1}});
+  const auto none = f.plan(CombineStrategy::None);
+  ASSERT_EQ(none.pipeline_groups.size(), 2u);
+  // Each sweep's own hand-off: received before its call, sent after it.
+  for (std::size_t k = 0; k < 2; ++k) {
+    const auto& g = none.pipeline_groups[k];
+    EXPECT_EQ(g.members, (std::vector<int>{static_cast<int>(k)}));
+    EXPECT_EQ(f.prog.slot(g.start_slot).index, static_cast<int>(k));
+    EXPECT_EQ(f.prog.slot(g.end_slot).index, static_cast<int>(k) + 1);
+  }
+  EXPECT_EQ(f.plan(CombineStrategy::Pairwise).pipeline_groups.size(), 1u);
+}
+
+TEST(SyncPipelines, RefusesAcrossAStatementTouchingAMemberArray) {
+  // A plain local read of a, no halo: a's send may not sink past it.
+  Fixture f(sweep_program("  do i = 1, 16\n"
+                          "    do j = 1, 16\n"
+                          "      c(i, j) = a(i, j)\n"
+                          "    end do\n"
+                          "  end do\n"),
+            cfg2({"a", "b", "c", "d"}), partition::PartitionSpec{{2, 1}});
+  obs::ObsContext obs;
+  const auto plan = f.plan(CombineStrategy::Min, &obs);
+  ASSERT_EQ(plan.pipeline_groups.size(), 2u);
+  // a's send goes right after `call sa`, b's receive right before
+  // `call sb`.
+  EXPECT_EQ(f.prog.slot(plan.pipeline_groups[0].end_slot).index, 1);
+  EXPECT_EQ(f.prog.slot(plan.pipeline_groups[1].start_slot).index, 2);
+  const auto merges = obs.provenance.of_kind(obs::DecisionKind::PipelineMerge);
+  ASSERT_EQ(merges.size(), 2u);
+  EXPECT_NE(merges[0]->rationale.find("cannot share it"), std::string::npos);
+}
+
+TEST(SyncPipelines, RefusesAcrossAHaloExchange) {
+  // d is written and then read with a dim-0 halo between the sweeps:
+  // its exchange sits between them and neither hand-off may cross it.
+  Fixture f(sweep_program("  do i = 1, 16\n"
+                          "    do j = 1, 16\n"
+                          "      d(i, j) = 1.0\n"
+                          "    end do\n"
+                          "  end do\n"
+                          "  do i = 2, 16\n"
+                          "    do j = 1, 16\n"
+                          "      c(i, j) = d(i - 1, j)\n"
+                          "    end do\n"
+                          "  end do\n"),
+            cfg2({"a", "b", "c", "d"}), partition::PartitionSpec{{2, 1}});
+  const auto plan = f.plan();
+  ASSERT_EQ(plan.syncs_after(), 1);
+  const int halo = plan.points[0].chosen_slot;
+  ASSERT_EQ(plan.pipeline_groups.size(), 2u);
+  EXPECT_LE(plan.pipeline_groups[0].end_slot, halo);
+  EXPECT_GE(plan.pipeline_groups[1].start_slot, halo);
+}
+
+TEST(SyncPipelines, RefusesAcrossAnAllreduce) {
+  Fixture f(sweep_program("  smax = 0.0\n"
+                          "  do i = 1, 16\n"
+                          "    do j = 1, 16\n"
+                          "      smax = max(smax, abs(c(i, j)))\n"
+                          "    end do\n"
+                          "  end do\n",
+                          "  write(6, *) smax\n"),
+            cfg2({"a", "b", "c", "d"}), partition::PartitionSpec{{2, 1}});
+  const auto plan = f.plan();
+  ASSERT_EQ(plan.pipeline_groups.size(), 2u);
+  // The send of a stays before the reduction loop, the receive of b
+  // after it.
+  EXPECT_EQ(f.prog.slot(plan.pipeline_groups[0].end_slot).index, 1);
+  EXPECT_EQ(f.prog.slot(plan.pipeline_groups[1].start_slot).index, 3);
+}
+
+TEST(SyncPipelines, CalleeWithTwoCallSitesKeepsItsHandOffAroundTheLoop) {
+  // sa runs before and after sb: one hand-off inside sa serves both
+  // calls, and sb is not combined with either of them.
+  Fixture f(sweep_program("", "  call sa\n"), cfg2({"a", "b", "c", "d"}),
+            partition::PartitionSpec{{2, 1}});
+  const auto plan = f.plan();
+  ASSERT_EQ(plan.pipelines.size(), 3u);
+  ASSERT_EQ(plan.pipeline_groups.size(), 2u);
+  const PipelineGroup* in_sa = nullptr;
+  const PipelineGroup* in_sb = nullptr;
+  for (const auto& g : plan.pipeline_groups) {
+    (group_arrays(plan, g).contains("a") ? in_sa : in_sb) = &g;
+  }
+  ASSERT_NE(in_sa, nullptr);
+  ASSERT_NE(in_sb, nullptr);
+  EXPECT_EQ(in_sa->members.size(), 2u);  // one plan per call site
+  const auto& start = f.prog.slot(in_sa->start_slot);
+  const auto& end = f.prog.slot(in_sa->end_slot);
+  EXPECT_EQ(start.unit->name, "sa");
+  EXPECT_EQ(start.index, 0);
+  EXPECT_EQ(end.unit->name, "sa");
+  EXPECT_EQ(end.index, 1);
+  EXPECT_EQ(in_sb->members.size(), 1u);
+  EXPECT_EQ(f.prog.slot(in_sb->start_slot).call_depth(), 0);
+  EXPECT_EQ(f.prog.slot(in_sb->end_slot).call_depth(), 0);
 }
 
 // ---------------------------------------------------------------------------

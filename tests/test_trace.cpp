@@ -82,8 +82,8 @@ TEST(CriticalPath, WaitDecompositionSumsToCommTime) {
   cluster.set_event_sink(&rec);
   const auto result = cluster.run([](Comm& comm) {
     comm.add_compute(0.5e-3 * (comm.rank() + 1));
-    (void)comm.sendrecv(1 - comm.rank(), 3,
-                        std::vector<double>(32, 1.0));
+    comm.send(1 - comm.rank(), 3, std::vector<double>(32, 1.0));
+    (void)comm.recv(1 - comm.rank(), 3);
     (void)comm.allreduce_sum(1.0);
   });
   const auto breakdown = rank_breakdown(rec.trace());
@@ -149,7 +149,8 @@ TEST(Checker, CleanExchangeHasNoFindings) {
   TraceRecorder rec;
   cluster.set_event_sink(&rec);
   (void)cluster.run([](Comm& comm) {
-    (void)comm.sendrecv(1 - comm.rank(), 0, {1.0});
+    comm.send(1 - comm.rank(), 0, {1.0});
+    (void)comm.recv(1 - comm.rank(), 0);
     comm.barrier();
   });
   const auto findings = check_trace(rec.trace());
@@ -176,7 +177,8 @@ TEST(Checker, FlagsRendezvousImbalance) {
 TEST(Recorder, PerRankStreamsAreDeterministic) {
   const auto program = [](Comm& comm) {
     comm.add_compute(0.5e-3 * (comm.rank() + 1));
-    (void)comm.sendrecv(comm.rank() ^ 1, 5, {1.0, 2.0, 3.0});
+    comm.send(comm.rank() ^ 1, 5, {1.0, 2.0, 3.0});
+    (void)comm.recv(comm.rank() ^ 1, 5);
     (void)comm.allreduce_max(static_cast<double>(comm.rank()));
   };
   Cluster cluster(4, MachineConfig::pentium_ethernet_1999());
@@ -208,7 +210,8 @@ TEST(Export, ChromeTraceContainsLanesSpansAndFlows) {
   cluster.set_event_sink(&rec);
   (void)cluster.run([](Comm& comm) {
     comm.add_compute(1e-3);
-    (void)comm.sendrecv(1 - comm.rank(), 0, {1.0});
+    comm.send(1 - comm.rank(), 0, {1.0});
+    (void)comm.recv(1 - comm.rank(), 0);
   });
   std::ostringstream os;
   write_chrome_trace(os, rec.trace());

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "autocfd/codegen/comm_schedule.hpp"
 #include "autocfd/depend/dep_pairs.hpp"
 #include "autocfd/fortran/ast.hpp"
 #include "autocfd/fortran/symbols.hpp"
@@ -43,8 +44,8 @@ struct SpmdMeta {
   partition::Grid grid;
   partition::PartitionSpec spec;
   std::vector<std::string> status_arrays;
-  /// Ghost widths allocated per status array (union of all halos).
-  std::map<std::string, partition::HaloWidths> ghosts;
+  /// Ghost widths allocated per status array (see ghost_widths).
+  GhostWidths ghosts;
   /// Global (sequential) shape of each status array, for gather.
   std::map<std::string, fortran::ArrayShape> global_shapes;
   /// One CommSite per communication-emitting construct the

@@ -9,7 +9,6 @@ using fortran::ExprKind;
 using fortran::Stmt;
 using fortran::StmtKind;
 using fortran::StmtList;
-using partition::HaloWidths;
 
 namespace {
 
@@ -70,27 +69,6 @@ struct Restructurer {
       site.label = "halo#" + std::to_string(point_ordinal) + " dim" +
                    std::to_string(d) + " {" + arrays + "}";
       halo.comm_tags[static_cast<std::size_t>(d)] = meta->tags.add(site);
-    }
-  }
-
-  // ---- ghost width computation -------------------------------------------
-
-  void compute_ghosts(const depend::DependenceSet& deps,
-                      const sync::SyncPlan& plan) {
-    const int rank = opts->grid.rank();
-    for (const auto& a : opts->field.status_arrays) {
-      meta->ghosts[a] = HaloWidths::uniform(rank, 0);
-    }
-    const auto add = [&](const std::string& array, const HaloWidths& h) {
-      auto it = meta->ghosts.find(array);
-      if (it == meta->ghosts.end()) return;
-      it->second = HaloWidths::merge(it->second, h);
-    };
-    for (const auto& p : deps.pairs) add(p.array, p.halo);
-    for (const auto& r : plan.regions) add(r.pair->array, r.pair->halo);
-    for (const auto& pp : plan.pipelines) {
-      add(pp.plan.array, pp.plan.flow_halo);
-      add(pp.plan.array, pp.plan.pre_halo);
     }
   }
 
@@ -365,8 +343,9 @@ SpmdMeta restructure(
   meta.spec = opts.spec;
   meta.status_arrays = opts.field.status_arrays;
 
+  meta.ghosts = ghost_widths(opts.grid.rank(), opts.field.status_arrays,
+                             deps, plan);
   Restructurer r{&opts, &loops_by_unit, &diags, &meta, false};
-  r.compute_ghosts(deps, plan);
 
   // 1. Communication statements at the combined synchronization points
   //    and the pipeline hand-offs. Collected first (slot indices

@@ -1,9 +1,8 @@
 #include "autocfd/codegen/spmd_runtime.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
 
+#include "autocfd/codegen/comm_schedule.hpp"
 #include "autocfd/partition/grid.hpp"
 
 namespace autocfd::codegen {
@@ -35,10 +34,6 @@ struct RankRuntime {
     if (delta > 0.0) comm->add_compute(delta * flop_time * mem_factor);
   }
 
-  const partition::SubGrid& mine() const {
-    return part->subgrid(comm->rank());
-  }
-
   ArrayValue& array(const std::string& name) {
     // Status arrays live in common storage: the global key resolves
     // regardless of unit.
@@ -48,6 +43,30 @@ struct RankRuntime {
                                   "' not found at run time");
     }
     return env->arrays[static_cast<std::size_t>(slot)];
+  }
+
+  /// Packs every slab of `m` and sends it as m.lines wire messages.
+  void send(const Stmt& s, int dim, int tag, const Message& m) {
+    std::vector<double> outbox;
+    outbox.reserve(static_cast<std::size_t>(m.elements));
+    for (const auto& slab : m.slabs) {
+      pack_slab(array(s.halo_arrays[slab.array].array), dim, slab.lo,
+                slab.hi, outbox);
+    }
+    comm->send_chunked(m.peer, tag, std::move(outbox), m.lines);
+  }
+
+  /// Receives `m` and unpacks it into the ghost layers of its slabs.
+  void receive(const Stmt& s, int dim, int tag, const Message& m) {
+    const auto inbox = comm->recv(m.peer, tag);
+    std::size_t pos = 0;
+    for (const auto& slab : m.slabs) {
+      unpack_slab(array(s.halo_arrays[slab.array].array), dim, slab.lo,
+                  slab.hi, inbox, pos);
+    }
+    if (pos != inbox.size()) {
+      throw autocfd::CompileError("halo exchange size mismatch");
+    }
   }
 
   /// One aggregated halo exchange (a combined synchronization point).
@@ -60,58 +79,21 @@ struct RankRuntime {
   /// for a neighbor's first send. The phases do not interfere: packing
   /// reads only owned layers of the dimension (the analysis rejects
   /// blocks thinner than a halo) and unpacking writes only its ghost
-  /// layers. A direction with no layers either way moves nothing; the
-  /// widths are static, so both peers agree on which messages exist.
+  /// layers.
   void halo_exchange(const Stmt& s) {
     flush_compute();
-    const auto& sg = mine();
     for (int dim = 0; dim < meta->grid.rank(); ++dim) {
       const auto du = static_cast<std::size_t>(dim);
-      if (meta->spec.cuts[du] <= 1) continue;
       // One tag per (sync point, dim), shared by both directions and
       // both peers; the restructurer registers it so traces can
       // attribute the message. Hand-built statements use the dimension.
       const int tag = du < s.comm_tags.size() && s.comm_tags[du] >= 0
                           ? s.comm_tags[du]
                           : dim;
-      // Peer on the high side needs our top h.lo layers (it reads
-      // v(i - k)); peer on the low side needs our bottom h.hi.
-      for (const int dir : {-1, +1}) {
-        const auto peer = part->neighbor(comm->rank(), dim, dir);
-        if (!peer) continue;
-        std::vector<double> outbox;
-        bool sends = false;
-        for (const auto& h : s.halo_arrays) {
-          const int w = dir > 0 ? h.lo_width[du] : h.hi_width[du];
-          if (w <= 0) continue;
-          sends = true;
-          const long long base = dir > 0 ? sg.hi[du] - w + 1 : sg.lo[du];
-          pack_slab(array(h.array), dim, base, base + w - 1, outbox);
-        }
-        if (sends) comm->send(*peer, tag, std::move(outbox));
-      }
-      // We need the opposite widths from each peer.
-      for (const int dir : {-1, +1}) {
-        const auto peer = part->neighbor(comm->rank(), dim, dir);
-        if (!peer) continue;
-        const bool recvs = std::any_of(
-            s.halo_arrays.begin(), s.halo_arrays.end(),
-            [&](const fortran::HaloSpec& h) {
-              return (dir > 0 ? h.hi_width[du] : h.lo_width[du]) > 0;
-            });
-        if (!recvs) continue;
-        const auto inbox = comm->recv(*peer, tag);
-        std::size_t pos = 0;
-        for (const auto& h : s.halo_arrays) {
-          const int w = dir > 0 ? h.hi_width[du] : h.lo_width[du];
-          if (w <= 0) continue;
-          const long long base = dir > 0 ? sg.hi[du] + 1 : sg.lo[du] - w;
-          unpack_slab(array(h.array), dim, base, base + w - 1, inbox, pos);
-        }
-        if (pos != inbox.size()) {
-          throw autocfd::CompileError("halo exchange size mismatch");
-        }
-      }
+      const auto msgs = halo_messages(s.halo_arrays, *part, meta->ghosts,
+                                      comm->rank(), dim);
+      for (const auto& m : msgs.sends) send(s, dim, tag, m);
+      for (const auto& m : msgs.recvs) receive(s, dim, tag, m);
     }
   }
 
@@ -130,57 +112,28 @@ struct RankRuntime {
   }
 
   /// Mirror-image pipelined sweep entry: receive the updated boundary
-  /// from the upstream block (the flow half of the decomposition).
+  /// from the upstream block (the flow half of the decomposition). The
+  /// first block in the sweep starts immediately.
   void pipeline_start(const Stmt& s) {
     flush_compute();
-    const int dim = s.pipeline_dim;
-    const int up = -s.pipeline_dir;  // upstream side
-    const auto peer = part->neighbor(comm->rank(), dim, up);
-    if (!peer) return;  // first block in the sweep starts immediately
-    const auto du = static_cast<std::size_t>(dim);
-    const auto& sg = mine();
-    const int tag = !s.comm_tags.empty() ? s.comm_tags[0]
-                                         : 64 + dim * 4 + (up > 0 ? 1 : 0);
-    auto inbox = comm->recv(*peer, tag);
-    std::size_t pos = 0;
-    for (const auto& h : s.halo_arrays) {
-      const int w = up < 0 ? h.lo_width[du] : h.hi_width[du];
-      if (w <= 0) continue;
-      auto& av = array(h.array);
-      const long long base = up < 0 ? sg.lo[du] - w : sg.hi[du] + 1;
-      unpack_slab(av, dim, base, base + w - 1, inbox, pos);
+    for (const auto& m : handoff(s).recvs) {
+      receive(s, s.pipeline_dim, s.comm_tags.at(0), m);
     }
   }
 
-  /// Pipelined sweep exit: send our updated boundary downstream.
+  /// Pipelined sweep exit: send our updated boundary downstream, one
+  /// wire message per grid line of the owned face (this is what makes
+  /// the 4x1x1 aerofoil partition communication-bound, Table 2).
   void pipeline_end(const Stmt& s) {
     flush_compute();
-    const int dim = s.pipeline_dim;
-    const int down = s.pipeline_dir;
-    const auto peer = part->neighbor(comm->rank(), dim, down);
-    if (!peer) return;  // last block
-    const auto du = static_cast<std::size_t>(dim);
-    const auto& sg = mine();
-    std::vector<double> outbox;
-    for (const auto& h : s.halo_arrays) {
-      const int w = down > 0 ? h.lo_width[du] : h.hi_width[du];
-      if (w <= 0) continue;
-      auto& av = array(h.array);
-      const long long base =
-          down > 0 ? sg.hi[du] - w + 1 : sg.lo[du];
-      pack_slab(av, dim, base, base + w - 1, outbox);
+    for (const auto& m : handoff(s).sends) {
+      send(s, s.pipeline_dim, s.comm_tags.at(0), m);
     }
-    // One message per grid line of the owned face: the fine-grained
-    // pipelining of the mirror-image sweep (this is what makes the
-    // 4x1x1 aerofoil partition communication-bound, Table 2).
-    long long lines = 1;
-    for (int d = 0; d < meta->grid.rank(); ++d) {
-      if (d == dim) continue;
-      lines *= sg.extent(d);
-    }
-    const int tag = !s.comm_tags.empty() ? s.comm_tags[0]
-                                         : 64 + dim * 4 + (-down > 0 ? 1 : 0);
-    comm->send_chunked(*peer, tag, std::move(outbox), lines);
+  }
+
+  RankMessages handoff(const Stmt& s) const {
+    return handoff_messages(s.halo_arrays, *part, meta->ghosts,
+                            comm->rank(), s.pipeline_dim, s.pipeline_dir);
   }
 
   void on_extension(const Stmt& s, Env& e) {

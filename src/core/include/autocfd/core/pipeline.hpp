@@ -131,18 +131,15 @@ struct PlanningFacts {
   /// Aggregated halo content of each combined synchronization point,
   /// in plan order (mirrors SyncPlan::halos_for).
   std::vector<std::vector<fortran::HaloSpec>> points;
-  /// Per status array: union ghost widths (dependence pairs + regions
-  /// + pipeline pre/flow halos), as codegen's ghost planner computes.
-  std::map<std::string, partition::HaloWidths> ghosts;
+  /// Ghost layers restructuring would allocate per status array.
+  codegen::GhostWidths ghosts;
 
   struct SelfDep {
     int line = 0;  // source line of the self-dependent loop
     std::string array;
-    depend::SelfDepKind kind = depend::SelfDepKind::None;
     /// Cut dimensions whose flow dependences force pipelining (dim,
     /// dir); empty when the partition leaves the loop local.
     std::vector<std::pair<int, int>> pipeline_dims;
-    partition::HaloWidths pre_halo;
   };
   std::vector<SelfDep> self_deps;
 

@@ -303,36 +303,16 @@ PlanningFacts analyze_for_plan(std::string_view source,
     facts.points.push_back(sync::SyncPlan::halos_for(point));
   }
 
-  // Mirror codegen's ghost planner: the slab payload of every halo
-  // exchange spans the full local allocation (ghosts included) in the
-  // non-exchange dimensions, so the cost model needs these widths.
-  const int rank = directives.grid.rank();
-  for (const auto& a : directives.field_config().status_arrays) {
-    facts.ghosts[a] = partition::HaloWidths::uniform(rank, 0);
-  }
-  const auto add_ghost = [&](const std::string& array,
-                             const partition::HaloWidths& h) {
-    auto it = facts.ghosts.find(array);
-    if (it == facts.ghosts.end()) return;
-    it->second = partition::HaloWidths::merge(it->second, h);
-  };
-  for (const auto& p : analysis.deps.pairs) add_ghost(p.array, p.halo);
-  for (const auto& r : analysis.plan.regions) {
-    add_ghost(r.pair->array, r.pair->halo);
-  }
-  for (const auto& pp : analysis.plan.pipelines) {
-    add_ghost(pp.plan.array, pp.plan.flow_halo);
-    add_ghost(pp.plan.array, pp.plan.pre_halo);
-  }
+  facts.ghosts = codegen::ghost_widths(
+      directives.grid.rank(), directives.field_config().status_arrays,
+      analysis.deps, analysis.plan);
 
   facts.self_deps.reserve(analysis.plan.pipelines.size());
   for (const auto& pp : analysis.plan.pipelines) {
     PlanningFacts::SelfDep sd;
     sd.line = pp.site->loop->loop->loc.line;
     sd.array = pp.plan.array;
-    sd.kind = pp.plan.kind;
     sd.pipeline_dims = pp.plan.pipeline_dims;
-    sd.pre_halo = pp.plan.pre_halo;
     facts.self_deps.push_back(std::move(sd));
   }
   for (const auto& group : analysis.plan.pipeline_groups) {

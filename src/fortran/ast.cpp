@@ -31,41 +31,6 @@ std::string_view bin_op_spelling(BinOp op) {
   return "?";
 }
 
-bool is_relational(BinOp op) {
-  switch (op) {
-    case BinOp::Lt:
-    case BinOp::Le:
-    case BinOp::Gt:
-    case BinOp::Ge:
-    case BinOp::Eq:
-    case BinOp::Ne:
-      return true;
-    default:
-      return false;
-  }
-}
-
-std::string_view stmt_kind_name(StmtKind k) {
-  switch (k) {
-    case StmtKind::Assign: return "assign";
-    case StmtKind::Do: return "do";
-    case StmtKind::If: return "if";
-    case StmtKind::Goto: return "goto";
-    case StmtKind::Continue: return "continue";
-    case StmtKind::Call: return "call";
-    case StmtKind::Return: return "return";
-    case StmtKind::Stop: return "stop";
-    case StmtKind::Read: return "read";
-    case StmtKind::Write: return "write";
-    case StmtKind::HaloExchange: return "halo-exchange";
-    case StmtKind::AllReduce: return "all-reduce";
-    case StmtKind::PipelineStart: return "pipeline-start";
-    case StmtKind::PipelineEnd: return "pipeline-end";
-    case StmtKind::Barrier: return "barrier";
-  }
-  return "?";
-}
-
 ExprPtr Expr::clone() const {
   auto out = std::make_unique<Expr>();
   out->kind = kind;

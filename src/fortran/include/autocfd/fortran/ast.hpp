@@ -42,7 +42,6 @@ enum class BinOp { Add, Sub, Mul, Div, Pow, Lt, Le, Gt, Ge, Eq, Ne, And, Or };
 enum class UnOp { Neg, Plus, Not };
 
 [[nodiscard]] std::string_view bin_op_spelling(BinOp op);
-[[nodiscard]] bool is_relational(BinOp op);
 
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
@@ -104,8 +103,6 @@ enum class StmtKind {
   PipelineEnd,    // send of an updated boundary to the downstream neighbor
   Barrier,
 };
-
-[[nodiscard]] std::string_view stmt_kind_name(StmtKind k);
 
 struct Stmt;
 using StmtPtr = std::unique_ptr<Stmt>;

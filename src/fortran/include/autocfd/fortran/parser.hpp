@@ -34,7 +34,6 @@ class Parser {
   bool accept(TokenKind kind);
   bool accept_word(std::string_view word);
   const Token* expect(TokenKind kind, std::string_view what);
-  bool expect_word(std::string_view word);
   void skip_to_eos();
   bool at_eos() const;
 

@@ -73,10 +73,6 @@ class GlobalSymbols {
   [[nodiscard]] const std::map<std::string, ArrayShape>& globals() const {
     return global_arrays_;
   }
-  /// Global scalars (common variables without dimensions).
-  [[nodiscard]] const std::vector<std::string>& global_scalars() const {
-    return global_scalars_;
-  }
 
   [[nodiscard]] const SymbolTable* unit_table(std::string_view unit) const;
 

@@ -60,13 +60,6 @@ const Token* Parser::expect(TokenKind kind, std::string_view what) {
   return nullptr;
 }
 
-bool Parser::expect_word(std::string_view word) {
-  if (accept_word(word)) return true;
-  diags_->error(peek().loc,
-                "expected '" + std::string(word) + "', found " + peek().str());
-  return false;
-}
-
 void Parser::skip_to_eos() {
   while (!peek().is(TokenKind::EndOfStatement) &&
          !peek().is(TokenKind::EndOfFile)) {

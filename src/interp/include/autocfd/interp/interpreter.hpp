@@ -57,9 +57,8 @@ class Interpreter {
   /// Evaluates an expression (exposed for tests and the runtime).
   [[nodiscard]] double eval(const fortran::Expr& e, Env& env) const;
 
-  /// Floating-point operations executed since the last reset.
+  /// Floating-point operations executed so far.
   [[nodiscard]] double flops() const { return flops_; }
-  void reset_flops() { flops_ = 0.0; }
 
   /// Lines captured from write/print statements (when no hook is set).
   [[nodiscard]] const std::vector<std::string>& output() const {

@@ -109,7 +109,7 @@ double Interpreter::eval(const Expr& e, Env& env) const {
       // Arguments evaluate left to right, then the shared scalar
       // kernel applies the operation (identical to the VM's Intrin).
       const std::size_t n = e.args.size();
-      double buf[8];
+      double buf[8] = {};
       std::vector<double> big;
       double* vals = buf;
       if (n > 8) {

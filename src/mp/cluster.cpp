@@ -8,23 +8,6 @@
 
 namespace autocfd::mp {
 
-const char* event_kind_name(EventKind kind) {
-  switch (kind) {
-    case EventKind::Compute: return "compute";
-    case EventKind::Send: return "send";
-    case EventKind::Recv: return "recv";
-    case EventKind::AllReduce: return "allreduce";
-    case EventKind::Barrier: return "barrier";
-    case EventKind::Unreceived: return "unreceived";
-    case EventKind::FaultDelay: return "fault.delay";
-    case EventKind::FaultDrop: return "fault.drop";
-    case EventKind::FaultCorrupt: return "fault.corrupt";
-    case EventKind::Timeout: return "timeout";
-    case EventKind::Retransmit: return "retransmit";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Wire id handed to the fault hook for retransmission `attempt` of
@@ -364,9 +347,7 @@ void Cluster::send_impl(int src, int dst, int tag, std::vector<double> data,
   }
   const auto bytes =
       static_cast<long long>(data.size() * sizeof(double));
-  const double cost =
-      static_cast<double>(n_messages) * config_.net_latency +
-      static_cast<double>(bytes) * config_.net_byte_time;
+  const double cost = config_.message_time(bytes, n_messages);
   std::lock_guard lock(mu_);
   if (abort_) {
     CommErrorInfo info;

@@ -34,8 +34,6 @@ enum class EventKind {
   Retransmit,
 };
 
-[[nodiscard]] const char* event_kind_name(EventKind kind);
-
 /// One timestamped event on one rank's virtual clock.
 struct TraceEvent {
   EventKind kind = EventKind::Compute;

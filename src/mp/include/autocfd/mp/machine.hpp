@@ -35,9 +35,12 @@ struct MachineConfig {
   double net_byte_time = 1.0e-6;  // per byte
   int collective_log_cost = 2;    // latency multiplier for collectives
 
-  /// Time one message of `bytes` occupies sender and wire.
-  [[nodiscard]] double message_time(long long bytes) const {
-    return net_latency + static_cast<double>(bytes) * net_byte_time;
+  /// Time `bytes` sent as `messages` back-to-back wire messages occupy
+  /// sender and wire: one latency per message, the bytes once.
+  [[nodiscard]] double message_time(long long bytes,
+                                    long long messages = 1) const {
+    return static_cast<double>(messages) * net_latency +
+           static_cast<double>(bytes) * net_byte_time;
   }
 
   /// Per-flop slowdown for a given working-set size. Piecewise with a

@@ -77,15 +77,6 @@ long long total_comm_points(const BlockPartition& part,
   return total;
 }
 
-int neighbor_count(const BlockPartition& part, int rank) {
-  int n = 0;
-  for (int d = 0; d < part.grid().rank(); ++d) {
-    if (part.neighbor(rank, d, -1)) ++n;
-    if (part.neighbor(rank, d, +1)) ++n;
-  }
-  return n;
-}
-
 namespace {
 
 void enumerate_rec(int remaining, int dims_left, std::vector<int>& acc,

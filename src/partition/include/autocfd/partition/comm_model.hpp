@@ -42,9 +42,6 @@ struct HaloWidths {
 [[nodiscard]] long long total_comm_points(const BlockPartition& part,
                                           const HaloWidths& halo);
 
-/// Number of neighbors rank exchanges with.
-[[nodiscard]] int neighbor_count(const BlockPartition& part, int rank);
-
 /// All factorizations of `nprocs` into `rank` ordered factors
 /// (e.g. 4 procs, rank 3 -> 4x1x1, 1x4x1, ..., 2x2x1, ...).
 [[nodiscard]] std::vector<PartitionSpec> enumerate_partitions(int nprocs,

@@ -13,17 +13,16 @@
 // scores by an optional fault plan (stragglers, degraded links,
 // jitter), and emits a deterministic PlanFile naming the winner.
 //
-// The cost model mirrors the simulated runtime exactly:
-//   * halo exchanges: per combined sync point, per cut dimension, per
-//     direction with a neighbor that needs layers, one send per rank
-//     whose payload packs every member array's slab across the *full
-//     local allocation* (ghost layers included) of the other
-//     dimensions. Each rank posts all sends of a dimension before its
-//     receives, so it pays its own sends and no chain of other pairs;
+// The cost model prices the schedule the runtime executes
+// (codegen/comm_schedule.hpp) with the machine's alpha-beta model:
+//   * halo exchanges: every rank's sends at each combined sync point
+//     and cut dimension. Each rank posts all sends of a dimension
+//     before its receives, so it pays its own sends and no chain of
+//     other pairs;
 //   * pipelined sweeps: the flow half of a mirror-image decomposition
 //     serializes the blocks along the cut dimension — B x the loop's
-//     per-rank compute plus (B-1) hand-offs, each paying one latency
-//     per grid line of the owned face (send_chunked);
+//     per-rank compute plus (B-1) of the schedule's largest hand-off,
+//     which pays one latency per grid line of the owned face;
 //   * collectives: taken from the measured bill (rank count is fixed).
 // A calibration pass against the measured baseline pins the model's
 // execution count and residual scale, so scores stay anchored to
@@ -61,13 +60,14 @@ struct PlannerOptions {
                                  const PlannerOptions& opts);
 
 /// Per-site calibration of the communication model against a measured
-/// run: for each halo site of the report, the model's predicted
-/// message count and transfer cost next to the measured ones. The
-/// calibration test asserts predicted transfer stays within tolerance.
+/// run: for each halo and pipeline site of the report, the model's
+/// predicted message count and transfer cost next to the measured ones.
+/// The calibration test asserts predicted transfer stays within
+/// tolerance.
 struct SiteCalibration {
   int site = -1;
   std::string label;
-  int point = -1;  // combined sync point ordinal
+  int point = -1;  // combined sync point or pipeline group ordinal
   int dim = -1;    // exchanged dimension
   long long measured_messages = 0;
   double measured_cost_s = 0.0;

@@ -1,11 +1,10 @@
 #include "autocfd/plan/planner.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <limits>
-#include <map>
 
+#include "autocfd/codegen/comm_schedule.hpp"
 #include "autocfd/partition/comm_model.hpp"
 
 namespace autocfd::plan {
@@ -16,90 +15,75 @@ using core::PlanningFacts;
 using partition::BlockPartition;
 using partition::PartitionSpec;
 
-/// Per-execution communication bill of one candidate configuration,
-/// mirroring the runtime's halo_exchange exactly: per combined sync
-/// point, per cut dimension, per direction with a neighbor that needs
-/// layers, one send per rank whose payload packs every member array's
-/// slab across the full local allocation (ghosts included) of the other
-/// dimensions.
-struct CommModel {
-  long long messages = 0;        // wire sends per exec, all ranks
-  double transfer_total = 0.0;   // sender-paid transfer per exec
-  std::vector<double> rank_transfer;
-  std::vector<long long> rank_recv_messages;
-  /// Messages per exec on each (src, dst) link.
-  std::map<std::pair<int, int>, long long> link_messages;
-
-  struct Site {
-    int point = -1;
-    int dim = -1;
-    long long messages = 0;
-    double transfer_s = 0.0;
+/// One communication site of a candidate: a combined point's exchange
+/// along one cut dimension, or a pipeline group's hand-off along one
+/// (dim, dir). Holds every rank's sends of one execution, in the order
+/// the runtime posts them, priced with the machine model.
+struct SiteBill {
+  int ordinal = -1;  // combined point or pipeline group
+  int dim = -1;
+  struct Send {
+    int src = -1;
+    int dst = -1;
+    long long lines = 1;
+    double time_s = 0.0;
   };
-  std::vector<Site> sites;  // one per (combined point, cut dimension)
+  std::vector<Send> sends;
+
+  [[nodiscard]] long long messages() const {
+    long long n = 0;
+    for (const auto& s : sends) n += s.lines;
+    return n;
+  }
+  [[nodiscard]] double transfer_s() const {
+    double t = 0.0;
+    for (const auto& s : sends) t += s.time_s;
+    return t;
+  }
 };
 
-/// Doubles of one array's slab of `width` layers of dimension `dim`,
-/// spanning the full local allocation elsewhere (pack_slab semantics).
-long long slab_elements(const PlanningFacts& facts, const BlockPartition& part,
-                        int rank, const std::string& array, int dim,
-                        int width) {
-  if (width <= 0) return 0;
-  long long elems = width;
-  const auto& sg = part.subgrid(rank);
-  const auto git = facts.ghosts.find(array);
-  for (int d = 0; d < facts.grid.rank(); ++d) {
-    if (d == dim) continue;
-    long long extent = sg.extent(d);
-    if (git != facts.ghosts.end()) {
-      const auto du = static_cast<std::size_t>(d);
-      extent += git->second.lo[du] + git->second.hi[du];
-    }
-    elems *= extent;
-  }
-  return elems;
-}
+/// The priced communication schedule of one candidate, each list in the
+/// order the restructurer registers the sites.
+struct Bill {
+  std::vector<SiteBill> halos;     // per (combined point, cut dimension)
+  std::vector<SiteBill> handoffs;  // per (pipeline group, dim, dir)
+};
 
-CommModel model_comm(const PlanningFacts& facts, const BlockPartition& part,
-                     const mp::MachineConfig& machine, int nranks) {
-  CommModel model;
-  model.rank_transfer.assign(static_cast<std::size_t>(nranks), 0.0);
-  model.rank_recv_messages.assign(static_cast<std::size_t>(nranks), 0);
-
-  for (std::size_t point = 0; point < facts.points.size(); ++point) {
-    const auto& halos = facts.points[point];
-    for (int dim = 0; dim < facts.grid.rank(); ++dim) {
-      const auto du = static_cast<std::size_t>(dim);
-      if (facts.spec.cuts[du] <= 1) continue;
-      CommModel::Site site;
-      site.point = static_cast<int>(point);
-      site.dim = dim;
-      for (int rank = 0; rank < nranks; ++rank) {
-        for (const int dir : {-1, +1}) {
-          const auto peer = part.neighbor(rank, dim, dir);
-          if (!peer) continue;
-          long long bytes = 0;
-          for (const auto& h : halos) {
-            const int send_w = dir > 0 ? h.lo_width[du] : h.hi_width[du];
-            bytes += 8 * slab_elements(facts, part, rank, h.array, dim,
-                                       send_w);
-          }
-          // A peer that needs no layers gets no message.
-          if (bytes == 0) continue;
-          const double t = machine.message_time(bytes);
-          site.messages += 1;
-          site.transfer_s += t;
-          model.rank_transfer[static_cast<std::size_t>(rank)] += t;
-          model.rank_recv_messages[static_cast<std::size_t>(*peer)] += 1;
-          model.link_messages[{rank, *peer}] += 1;
-        }
+Bill price_schedule(const PlanningFacts& facts,
+                    const mp::MachineConfig& machine) {
+  const BlockPartition part(facts.grid, facts.spec);
+  Bill bill;
+  const auto add_site = [&](std::vector<SiteBill>& sites, std::size_t ordinal,
+                            int dim, const auto& messages_of) {
+    auto& site = sites.emplace_back();
+    site.ordinal = static_cast<int>(ordinal);
+    site.dim = dim;
+    for (int rank = 0; rank < part.num_tasks(); ++rank) {
+      for (const auto& m : messages_of(rank).sends) {
+        site.sends.push_back(
+            {rank, m.peer, m.lines, machine.message_time(m.bytes(), m.lines)});
       }
-      model.messages += site.messages;
-      model.transfer_total += site.transfer_s;
-      model.sites.push_back(site);
+    }
+  };
+  for (std::size_t k = 0; k < facts.points.size(); ++k) {
+    for (int dim = 0; dim < facts.grid.rank(); ++dim) {
+      if (facts.spec.cuts[static_cast<std::size_t>(dim)] <= 1) continue;
+      add_site(bill.halos, k, dim, [&](int rank) {
+        return codegen::halo_messages(facts.points[k], part, facts.ghosts,
+                                      rank, dim);
+      });
     }
   }
-  return model;
+  for (std::size_t g = 0; g < facts.pipelines.size(); ++g) {
+    const auto& pg = facts.pipelines[g];
+    for (const auto& wave : pg.dims) {
+      add_site(bill.handoffs, g, wave.first, [&](int rank) {
+        return codegen::handoff_messages(pg.flows, part, facts.ghosts, rank,
+                                         wave.first, wave.second);
+      });
+    }
+  }
+  return bill;
 }
 
 /// Compute/communication/pipeline/fault decomposition of one scored
@@ -112,10 +96,9 @@ struct Score {
   double fault_s = 0.0;
 };
 
-Score score_candidate(const PlanningFacts& facts, const BlockPartition& part,
-                      const CommModel& model, const PlanInput& input,
-                      const PlannerOptions& opts, double execs,
-                      double c_comm) {
+Score score_candidate(const PlanningFacts& facts, const Bill& bill,
+                      const PlanInput& input, const PlannerOptions& opts,
+                      double execs, double c_comm) {
   const int nranks = input.nranks;
   const auto nr = static_cast<std::size_t>(nranks);
 
@@ -130,35 +113,25 @@ Score score_candidate(const PlanningFacts& facts, const BlockPartition& part,
   }
   // Pipelined sweeps serialize: the chain through B blocks costs B x
   // the per-rank compute of every sweep sharing the hand-off, plus
-  // (B-1) hand-offs per execution. One hand-off pays one latency per
-  // grid line of the owned face (send_chunked) and the bytes of every
-  // member array's boundary.
+  // (B-1) hand-offs per execution. The chain waits on the largest send
+  // of each hand-off: blocks with the extra points come first.
   Score sc;
-  for (const auto& pg : facts.pipelines) {
+  for (std::size_t g = 0; g < facts.pipelines.size(); ++g) {
     double w_loops = 0.0;
-    for (const int line : pg.lines) w_loops += input.loop_time(line);
-
+    for (const int line : facts.pipelines[g].lines) {
+      w_loops += input.loop_time(line);
+    }
     long long chain = 1;
     double handoffs = 0.0;
-    const auto& sg0 = part.subgrid(0);
-    for (const auto& [dim, dir] : pg.dims) {
-      const auto du = static_cast<std::size_t>(dim);
-      const int cuts = facts.spec.cuts[du];
+    for (const auto& site : bill.handoffs) {
+      if (site.ordinal != static_cast<int>(g)) continue;
+      const int cuts = facts.spec.cuts[static_cast<std::size_t>(site.dim)];
       chain *= cuts;
-      long long lines = 1;
-      for (int d = 0; d < facts.grid.rank(); ++d) {
-        if (d == dim) continue;
-        lines *= sg0.extent(d);
+      double largest = 0.0;
+      for (const auto& send : site.sends) {
+        largest = std::max(largest, send.time_s);
       }
-      long long bytes = 0;
-      for (const auto& f : pg.flows) {
-        const int w = dir > 0 ? f.lo_width[du] : f.hi_width[du];
-        bytes += 8 * slab_elements(facts, part, 0, f.array, dim, w);
-      }
-      const double handoff =
-          static_cast<double>(lines) * opts.machine.net_latency +
-          static_cast<double>(bytes) * opts.machine.net_byte_time;
-      handoffs += static_cast<double>(cuts - 1) * handoff;
+      handoffs += static_cast<double>(cuts - 1) * largest;
     }
     // The sweeps' own per-rank share is already in the base compute
     // below; the chain adds the (B-1) serialized block shares and the
@@ -176,7 +149,17 @@ Score score_candidate(const PlanningFacts& facts, const BlockPartition& part,
   for (int rank = 0; rank < nranks; ++rank) {
     const auto ru = static_cast<std::size_t>(rank);
     const double compute = straggle[ru] * base_share;
-    const double comm = c_comm * execs * model.rank_transfer[ru];
+    // The rank pays its own halo sends; fault penalties land on the
+    // messages it receives.
+    double transfer = 0.0;
+    std::vector<int> senders;
+    for (const auto& site : bill.halos) {
+      for (const auto& send : site.sends) {
+        if (send.src == rank) transfer += send.time_s;
+        if (send.dst == rank) senders.push_back(send.src);
+      }
+    }
+    const double comm = c_comm * execs * transfer;
 
     double fault = 0.0;
     if (opts.faults) {
@@ -188,19 +171,18 @@ Score score_candidate(const PlanningFacts& facts, const BlockPartition& part,
         if (input.elapsed_s > 0.0 && w.t1 > w.t0) {
           frac = std::min(1.0, (w.t1 - w.t0) / input.elapsed_s);
         }
-        long long msgs = 0;
-        for (const auto& [link, count] : model.link_messages) {
-          if (link.second != rank) continue;
-          if (w.src >= 0 && w.src != link.first) continue;
-          if (w.dst >= 0 && w.dst != link.second) continue;
-          msgs += count;
-        }
+        const auto msgs =
+            w.dst >= 0 && w.dst != rank
+                ? 0
+                : std::count_if(senders.begin(), senders.end(), [&](int src) {
+                    return w.src < 0 || w.src == src;
+                  });
         fault += w.delay * static_cast<double>(msgs) * execs * frac;
       }
       // Jitter: expected extra delay per received message.
       if (fp.jitter_prob > 0.0 && fp.jitter_max > 0.0) {
         fault += fp.jitter_prob * fp.jitter_max * 0.5 * execs *
-                 static_cast<double>(model.rank_recv_messages[ru]);
+                 static_cast<double>(senders.size());
       }
     }
 
@@ -226,7 +208,7 @@ Score score_candidate(const PlanningFacts& facts, const BlockPartition& part,
 /// communication scale).
 struct Baseline {
   PlanningFacts facts;
-  CommModel model;
+  Bill bill;
   double execs = 1.0;
   double c_comm = 1.0;
 };
@@ -246,18 +228,22 @@ Baseline calibrate(const PlanInput& input, const PlannerOptions& opts) {
   (void)sync::parse_combine_strategy(input.strategy, strat0);
   base.facts = core::analyze_for_plan(
       opts.source, directives_for(opts, spec0, input.nranks), strat0);
-  const BlockPartition part(base.facts.grid, base.facts.spec);
-  base.model = model_comm(base.facts, part, opts.machine, input.nranks);
+  base.bill = price_schedule(base.facts, opts.machine);
 
+  long long model_msgs = 0;
+  double model_transfer = 0.0;
+  for (const auto& site : base.bill.halos) {
+    model_msgs += site.messages();
+    model_transfer += site.transfer_s();
+  }
   const auto measured_msgs = input.site_messages("halo");
   const double measured_cost = input.site_cost("halo");
-  if (base.model.messages > 0 && measured_msgs > 0) {
+  if (model_msgs > 0 && measured_msgs > 0) {
     base.execs = static_cast<double>(measured_msgs) /
-                 static_cast<double>(base.model.messages);
+                 static_cast<double>(model_msgs);
   }
-  if (base.model.transfer_total > 0.0 && measured_cost > 0.0) {
-    base.c_comm =
-        measured_cost / (base.execs * base.model.transfer_total);
+  if (model_transfer > 0.0 && measured_cost > 0.0) {
+    base.c_comm = measured_cost / (base.execs * model_transfer);
   }
   return base;
 }
@@ -330,11 +316,9 @@ PlanFile make_plan(const PlanInput& input, const PlannerOptions& opts) {
       try {
         s.facts = core::analyze_for_plan(
             opts.source, directives_for(opts, spec, input.nranks), strategy);
-        const BlockPartition part(s.facts.grid, s.facts.spec);
-        const auto model =
-            model_comm(s.facts, part, opts.machine, input.nranks);
-        const auto sc = score_candidate(s.facts, part, model, input, opts,
-                                        base.execs, base.c_comm);
+        const auto sc =
+            score_candidate(s.facts, price_schedule(s.facts, opts.machine),
+                            input, opts, base.execs, base.c_comm);
         s.cand.predicted_s = sc.predicted;
         s.cand.compute_s = sc.compute_s;
         s.cand.comm_s = sc.comm_s;
@@ -438,27 +422,30 @@ std::vector<SiteCalibration> calibrate_sites(const PlanInput& input,
                                              const PlannerOptions& opts) {
   const Baseline base = calibrate(input, opts);
 
+  // The report lists each kind's sites in registration order, as the
+  // bill does.
+  std::size_t next_halo = 0, next_handoff = 0;
   std::vector<SiteCalibration> out;
   for (const auto& site : input.sites) {
-    if (site.kind != "halo") continue;
+    if (site.kind != "halo" && site.kind != "pipeline") continue;
+    const bool halo = site.kind == "halo";
+    const auto& sites = halo ? base.bill.halos : base.bill.handoffs;
+    auto& next = halo ? next_halo : next_handoff;
     SiteCalibration cal;
     cal.site = site.site;
     cal.label = site.label;
     cal.measured_messages = site.messages;
     cal.measured_cost_s = site.cost_s;
-    // The restructurer labels halo sites "halo#<point> dim<d> {...}".
-    int point = -1, dim = -1;
-    if (std::sscanf(site.label.c_str(), "halo#%d dim%d", &point, &dim) == 2) {
-      for (const auto& m : base.model.sites) {
-        if (m.point != point || m.dim != dim) continue;
-        cal.point = point;
-        cal.dim = dim;
-        cal.model_messages_per_exec = m.messages;
-        if (m.messages > 0 && site.messages > 0) {
-          const double execs = static_cast<double>(site.messages) /
-                               static_cast<double>(m.messages);
-          cal.model_cost_s = execs * m.transfer_s;
-        }
+    if (next < sites.size()) {
+      const auto& model = sites[next++];
+      cal.point = model.ordinal;
+      cal.dim = model.dim;
+      cal.model_messages_per_exec = model.messages();
+      if (cal.model_messages_per_exec > 0 && site.messages > 0) {
+        const double execs =
+            static_cast<double>(site.messages) /
+            static_cast<double>(cal.model_messages_per_exec);
+        cal.model_cost_s = execs * model.transfer_s();
       }
     }
     out.push_back(std::move(cal));

@@ -87,8 +87,6 @@ TEST(CommModelTest, InteriorTaskTalksBothWays) {
   const long long c4 = max_comm_points(p4, halo);
   EXPECT_EQ(c2, 41 * 13);
   EXPECT_EQ(c4, 2 * 41 * 13);  // two neighbors, same face
-  EXPECT_EQ(neighbor_count(p4, 1), 2);
-  EXPECT_EQ(neighbor_count(p4, 0), 1);
 }
 
 TEST(CommModelTest, Paper2x2x1Ratio) {

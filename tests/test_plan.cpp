@@ -4,8 +4,9 @@
 //     actionable diagnostic, never misread.
 //   * A PlanFile is deterministic: write -> read -> write is
 //     byte-identical, so CI can diff plans.
-//   * The communication model is calibrated: per halo site, the
-//     model's predicted transfer cost matches the measured bill.
+//   * The communication model is calibrated: per halo and pipeline
+//     site, the model's predicted transfer cost matches the measured
+//     bill.
 //   * The measured gain of the chosen plan over the static choice
 //     tracks the predicted gain.
 //   * Planning is a fixed point: re-planning from a planned run's
@@ -15,6 +16,7 @@
 //     and planned runs stay bit-identical across both engines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 
@@ -145,11 +147,13 @@ TEST(PlanFile, ParseRejectsSchemaMismatch) {
   EXPECT_NE(error.find("schema_version"), std::string::npos) << error;
 }
 
-// Cost-model calibration: per halo sync site, the model prices the
-// measured run's own partition; predicted transfer must match the
-// measured bill (the model mirrors the runtime exactly, so the
-// tolerance is tight). A site-dimension whose layers are all zero
-// wide sends nothing, and the model must predict exactly that.
+// Cost-model calibration: per halo and pipeline site, the model
+// prices the measured run's own partition; predicted transfer must
+// match the measured bill (the model prices the schedule the runtime
+// executes, so the tolerance is tight). A site-dimension whose layers
+// are all zero wide sends nothing, and the model must predict exactly
+// that. The aerofoil run pipelines a mirror-image sweep, so its
+// hand-off site is checked too.
 TEST(Planner, PerSiteTransferMatchesMeasuredBill) {
   for (const auto& app : {test_aerofoil(), test_sprayer()}) {
     const auto profiled = run_profiled(app);
@@ -159,6 +163,12 @@ TEST(Planner, PerSiteTransferMatchesMeasuredBill) {
     const auto calibration =
         calibrate_sites(plan_input_from_report(profiled.report), opts);
     ASSERT_FALSE(calibration.empty()) << app.name;
+    const bool has_pipeline = std::any_of(
+        calibration.begin(), calibration.end(), [](const auto& site) {
+          return site.label.starts_with("pipeline#") &&
+                 site.measured_messages > 0;
+        });
+    EXPECT_EQ(has_pipeline, app.name == "aerofoil") << app.name;
     for (const auto& site : calibration) {
       ASSERT_EQ(site.measured_messages > 0, site.model_messages_per_exec > 0)
           << app.name << " " << site.label;

@@ -45,7 +45,10 @@ GeneratedProgram generate(unsigned seed) {
 
   const int n_arrays = pick(2, 4);
   std::vector<std::string> arrays;
-  for (int a = 0; a < n_arrays; ++a) arrays.push_back("q" + std::to_string(a));
+  for (int a = 0; a < n_arrays; ++a) {
+    arrays.emplace_back("q");
+    arrays.back() += std::to_string(a);
+  }
 
   std::ostringstream os;
   os << "!$acfd grid 14 11\n!$acfd status";

@@ -22,7 +22,6 @@
 #include "autocfd/ledger/ledger.hpp"
 #include "autocfd/ledger/record_builders.hpp"
 #include "autocfd/obs/json_util.hpp"
-#include "autocfd/prof/source_profile.hpp"
 
 namespace bench_util {
 
@@ -34,7 +33,7 @@ inline std::map<std::string, double>& json_records() {
   return records;
 }
 
-/// String-valued sidecar records (loop classes etc.). Kept separate
+/// String-valued sidecar records (partition names etc.). Kept separate
 /// from the numeric map; write_json_report interleaves both sorted.
 inline std::map<std::string, std::string>& json_string_records() {
   static std::map<std::string, std::string> records;
@@ -46,7 +45,7 @@ inline void record(const std::string& key, double value) {
   json_records()[key] = value;
 }
 
-/// Records one string-valued fact (e.g. "hot.0.class").
+/// Records one string-valued fact (e.g. "aerofoil.p2.partition").
 inline void record_str(const std::string& key, const std::string& value) {
   json_string_records()[key] = value;
 }
@@ -95,59 +94,14 @@ inline autocfd::codegen::SeqRunResult run_seq(
       file, status, autocfd::mp::MachineConfig::pentium_ethernet_1999());
 }
 
-/// Folds one pass profile into the sidecar records: "phase.<name>.wall_s"
-/// per phase (plus its counters as "phase.<name>.<counter>") and the
-/// pipeline total as "phase.total.wall_s". Later profiles of the same
-/// phases overwrite earlier ones — the sidecar keeps one phase block.
-inline void record_phase_profile(const autocfd::obs::PassProfiler& profiler) {
-  for (const auto& phase : profiler.phases()) {
-    record("phase." + phase.name + ".wall_s", phase.wall_s);
-    for (const auto& [key, value] : phase.counters) {
-      record("phase." + phase.name + "." + key, value);
-    }
-  }
-  record("phase.total.wall_s", profiler.total_wall_s());
-}
-
-/// Folds the run's five hottest attribution units into the sidecar:
-/// "hot.<i>.line" / ".time_s" / ".share" numeric plus ".class" string
-/// (the explain engine's A/R/C/O letters, "-" for plain statements).
-/// Later runs overwrite earlier ones — the sidecar keeps the hot block
-/// of the last profiled run.
-inline void record_hot_loops(const autocfd::prof::SourceProfile& profile) {
-  const auto hot = profile.hottest(5);
-  for (std::size_t i = 0; i < hot.size(); ++i) {
-    const std::string prefix = "hot." + std::to_string(i);
-    record(prefix + ".line", static_cast<double>(hot[i]->loc.line));
-    record(prefix + ".time_s", hot[i]->time_s);
-    record(prefix + ".share", hot[i]->share);
-    record_str(prefix + ".class",
-               hot[i]->loop_class.empty()
-                   ? (hot[i]->is_loop ? "?" : "-")
-                   : hot[i]->loop_class);
-  }
-}
-
-/// Parallelizes and runs `source` under `partition`. Every call also
-/// profiles the pre-compiler phases into the sidecar's phase block and
-/// the run's hottest loops into its hot block.
+/// Parallelizes and runs `source` under `partition`.
 inline autocfd::codegen::SpmdRunResult run_par(
     const std::string& source, const std::string& partition) {
   autocfd::DiagnosticEngine diags;
   auto dirs = autocfd::core::Directives::extract(source, diags);
   dirs.partition = autocfd::partition::PartitionSpec::parse(partition);
-  autocfd::obs::ObsContext obs;
-  auto program = autocfd::core::parallelize(
-      source, dirs, autocfd::sync::CombineStrategy::Min, &obs);
-  record_phase_profile(obs.profiler);
-  autocfd::codegen::SpmdRunOptions run_opts;
-  run_opts.profile = true;
-  auto result = program->run(
-      autocfd::mp::MachineConfig::pentium_ethernet_1999(), run_opts);
-  auto profile = autocfd::prof::build_source_profile(result.profiles);
-  autocfd::prof::attach_provenance(profile, obs.provenance);
-  record_hot_loops(profile);
-  return result;
+  auto program = autocfd::core::parallelize(source, dirs);
+  return program->run(autocfd::mp::MachineConfig::pentium_ethernet_1999());
 }
 
 /// Stamps the build/run metadata block every sidecar carries:
@@ -170,24 +124,6 @@ inline void record_metadata() {
 /// print a footer and hand over to google-benchmark.
 inline int finish(int argc, char** argv) {
   if (argc >= 1) {
-    // Every sidecar embeds a phase-timing block and a hot-loop block.
-    // Benches that never went through run_par (pure analysis sweeps)
-    // run one small aerofoil so both blocks are present with the same
-    // schema.
-    bool have_phases = false, have_hot = false;
-    for (const auto& [key, value] : json_records()) {
-      (void)value;
-      if (key.rfind("phase.", 0) == 0) have_phases = true;
-      if (key.rfind("hot.", 0) == 0) have_hot = true;
-    }
-    if (!have_phases || !have_hot) {
-      autocfd::cfd::AerofoilParams small;
-      small.n1 = 24;
-      small.n2 = 10;
-      small.n3 = 4;
-      small.frames = 1;
-      (void)run_par(autocfd::cfd::aerofoil_source(small), "2x1x1");
-    }
     record_metadata();
     std::string stem = argv[0];
     if (const auto slash = stem.find_last_of('/'); slash != std::string::npos) {

@@ -68,15 +68,8 @@ int main(int argc, char** argv) {
   const auto with_jitter = program->run(machine, jitter_opts);
 
   const bool elapsed_identical = clean.elapsed == with_empty.elapsed;
-  bool results_identical = true;
-  for (const auto& [name, values] : clean.gathered) {
-    const auto& other = with_jitter.gathered.at(name);
-    results_identical =
-        results_identical && values.size() == other.size();
-    for (std::size_t i = 0; results_identical && i < values.size(); ++i) {
-      results_identical = values[i] == other[i];
-    }
-  }
+  const bool results_identical =
+      !codegen::first_mismatch(clean.gathered, with_jitter.gathered);
 
   std::printf("%-12s %14s %10s\n", "config", "elapsed (s)", "delayed");
   std::printf("%-12s %14.6f %10s\n", "clean", clean.elapsed, "-");

@@ -6,7 +6,9 @@
 // full final environment, not just the status arrays — and (b) beat
 // the tree-walker by at least 3x on host wall time (Release build),
 // since executed kernel throughput is what every table in the paper
-// reproduction ultimately measures.
+// reproduction ultimately measures. The binary exits nonzero when an
+// app diverges or the bytecode engine is not faster than the
+// tree-walker at all; the 3x target is reported, not enforced.
 #include "bench_util.hpp"
 
 #include <chrono>
@@ -48,8 +50,9 @@ double wall_of_engine(const interp::ProgramImage& image,
 }
 
 /// Runs `source` under both engines and reports wall times, speedup
-/// and bit-identity of the complete final environment.
-void compare_engines(const std::string& app, const std::string& source) {
+/// and bit-identity of the complete final environment. Returns false
+/// when the engines diverge or the bytecode engine is not faster.
+bool compare_engines(const std::string& app, const std::string& source) {
   const auto tree = interp::run_sequential(source, interp::EngineKind::Tree);
   const auto byte_ =
       interp::run_sequential(source, interp::EngineKind::Bytecode);
@@ -96,6 +99,12 @@ void compare_engines(const std::string& app, const std::string& source) {
                      static_cast<double>(stats.walks_reduced));
   bench_util::record(app + ".cache_hits",
                      static_cast<double>(stats.cache_hits));
+  if (!identical || speedup <= 1.0) {
+    std::printf("FAIL: %s %s\n", app.c_str(),
+                identical ? "bytecode engine is not faster" : "diverged");
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -120,8 +129,8 @@ int main(int argc, char** argv) {
 
   const auto aero_source = cfd::aerofoil_source(aero);
   const auto spray_source = cfd::sprayer_source(spray);
-  compare_engines("aerofoil", aero_source);
-  compare_engines("sprayer", spray_source);
+  const bool aero_ok = compare_engines("aerofoil", aero_source);
+  const bool spray_ok = compare_engines("sprayer", spray_source);
 
   // Microbenchmarks over the aerofoil image, one per engine.
   static auto aero_seq = interp::run_sequential(aero_source);
@@ -140,5 +149,6 @@ int main(int argc, char** argv) {
       }
     });
   }
-  return bench_util::finish(argc, argv);
+  const int rc = bench_util::finish(argc, argv);
+  return aero_ok && spray_ok ? rc : 1;
 }

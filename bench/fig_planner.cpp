@@ -76,21 +76,6 @@ Outcome run_profiled(const App& app, const Scenario& scenario,
   return out;
 }
 
-bool gathered_identical(const codegen::SpmdRunResult& a,
-                        const codegen::SpmdRunResult& b) {
-  if (a.gathered.size() != b.gathered.size()) return false;
-  for (const auto& [name, values] : a.gathered) {
-    const auto it = b.gathered.find(name);
-    if (it == b.gathered.end() || it->second.size() != values.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (values[i] != it->second[i]) return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -132,7 +117,8 @@ int main(int argc, char** argv) {
       const auto overrides = plan_file.to_overrides("fig_planner");
 
       const auto planned = run_profiled(app, scenario, &overrides);
-      const bool identical = gathered_identical(statique.run, planned.run);
+      const bool identical =
+          !codegen::first_mismatch(statique.run.gathered, planned.run.gathered);
       const double speedup = statique.run.elapsed / planned.run.elapsed;
       const double predicted =
           plan_file.predicted_s > 0.0

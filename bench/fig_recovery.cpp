@@ -35,15 +35,6 @@ struct Cell {
   bool identical = false;
 };
 
-bool gathered_identical(const codegen::SpmdRunResult& a,
-                        const codegen::SpmdRunResult& b) {
-  for (const auto& [name, values] : a.gathered) {
-    const auto it = b.gathered.find(name);
-    if (it == b.gathered.end() || it->second != values) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -100,7 +91,7 @@ int main(int argc, char** argv) {
 
       Cell cell;
       cell.elapsed = run.elapsed;
-      cell.identical = gathered_identical(clean, run);
+      cell.identical = !codegen::first_mismatch(clean.gathered, run.gathered);
       for (const auto& st : run.cluster.ranks) {
         cell.retransmits += st.retransmits;
         cell.recovered += st.recovered;

@@ -640,22 +640,15 @@ int main(int argc, char** argv) {
       auto seq_file = fortran::parse_source(source);
       const auto seq = codegen::run_sequential_timed(
           seq_file, dirs.status_arrays, machine, engine);
-      double max_diff = 0.0;
-      for (const auto& name : dirs.status_arrays) {
-        const auto sit = seq.arrays.find(name);
-        const auto pit = par.gathered.find(name);
-        if (sit == seq.arrays.end() || pit == par.gathered.end()) continue;
-        for (std::size_t i = 0; i < sit->second.size(); ++i) {
-          max_diff =
-              std::max(max_diff, std::abs(sit->second[i] - pit->second[i]));
-        }
-      }
+      const auto mismatch = codegen::first_mismatch(seq.arrays, par.gathered);
       std::fprintf(
           chat,
           "acfd: sequential %.4f s, parallel %.4f s on %d ranks "
-          "(speedup %.2f), max deviation %g\n",
+          "(speedup %.2f), %s\n",
           seq.elapsed, par.elapsed, program->meta.spec.num_tasks(),
-          seq.elapsed / par.elapsed, max_diff);
+          seq.elapsed / par.elapsed,
+          mismatch ? ("DIVERGED, " + *mismatch).c_str()
+                   : "bitwise identical");
       if (engine == interp::EngineKind::Bytecode) {
         const auto es = par.engine_stats;
         std::fprintf(chat,
@@ -726,8 +719,9 @@ int main(int argc, char** argv) {
           std::fprintf(chat, "acfd: wrote %s\n", report_path.c_str());
         }
       }
-      if (max_diff != 0.0) {
-        std::fprintf(stderr, "acfd: VALIDATION FAILED\n");
+      if (mismatch) {
+        std::fprintf(stderr, "acfd: VALIDATION FAILED: %s\n",
+                     mismatch->c_str());
         return 1;
       }
       if (want_ledger) {

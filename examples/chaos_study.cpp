@@ -109,25 +109,6 @@ int main(int argc, char** argv) {
       codegen::run_sequential_timed(seq_file, dirs.status_arrays, machine);
   auto program = core::parallelize(source, dirs);
 
-  const auto bit_identical = [&](const codegen::SpmdRunResult& par,
-                                 std::string* why) {
-    for (const auto& name : dirs.status_arrays) {
-      const auto& s = seq.arrays.at(name);
-      const auto& g = par.gathered.at(name);
-      if (s.size() != g.size()) {
-        *why = "size mismatch in " + name;
-        return false;
-      }
-      for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != g[i]) {
-          *why = name + "[" + std::to_string(i) + "] differs";
-          return false;
-        }
-      }
-    }
-    return true;
-  };
-
   std::vector<RunRecord> records;
   std::printf("chaos_study: sprayer %dx%d on 2x2, %d timing seeds\n", nx, ny,
               seeds);
@@ -150,9 +131,9 @@ int main(int argc, char** argv) {
     try {
       const auto par = program->run(machine, opts);
       rec.elapsed = par.elapsed;
-      std::string why;
-      rec.ok = bit_identical(par, &why);
-      rec.detail = rec.ok ? "bit-identical to sequential" : why;
+      const auto mismatch = codegen::first_mismatch(seq.arrays, par.gathered);
+      rec.ok = !mismatch;
+      rec.detail = mismatch.value_or("bit-identical to sequential");
     } catch (const std::exception& e) {
       rec.detail = std::string("unexpected error: ") + e.what();
     }
@@ -267,20 +248,16 @@ int main(int argc, char** argv) {
           rec.retransmits += st.retransmits;
           rec.recovered += st.recovered;
         }
-        std::string why;
-        rec.ok = bit_identical(par, &why);
-        if (rec.ok) {
-          // Recovery re-sends the pristine payload, so loss must leave
-          // no numerical trace: compare against the clean parallel run
-          // too, element for element.
-          for (const auto& name : dirs.status_arrays) {
-            if (clean.gathered.at(name) != par.gathered.at(name)) {
-              rec.ok = false;
-              why = name + " differs from the clean run";
-              break;
-            }
-          }
+        // Recovery re-sends the pristine payload, so loss must leave
+        // no numerical trace: compare against the clean parallel run
+        // too, bit for bit.
+        auto mismatch = codegen::first_mismatch(seq.arrays, par.gathered);
+        if (!mismatch) {
+          mismatch = codegen::first_mismatch(clean.gathered, par.gathered);
+          if (mismatch) *mismatch += " (against the clean run)";
         }
+        rec.ok = !mismatch;
+        std::string why = mismatch.value_or("");
         const long long faults =
             injector.counters().dropped + injector.counters().corrupted;
         if (rec.ok && faults > 0 && rec.recovered == 0) {

@@ -68,15 +68,9 @@ int main(int argc, char** argv) {
   }
 
   // Validation against the sequential run (largest processor count).
-  double max_diff = 0.0;
-  for (const auto& name : dirs.status_arrays) {
-    const auto& s = seq.arrays.at(name);
-    const auto& g = last.gathered.at(name);
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      max_diff = std::max(max_diff, std::abs(s[i] - g[i]));
-    }
-  }
-  std::printf("\nValidation (6 procs vs sequential): max diff = %g %s\n",
-              max_diff, max_diff == 0.0 ? "(bitwise identical)" : "");
-  return max_diff == 0.0 ? 0 : 1;
+  const auto mismatch = codegen::first_mismatch(seq.arrays, last.gathered);
+  std::printf("\nValidation (6 procs vs sequential): %s\n",
+              mismatch ? ("DIVERGED, " + *mismatch).c_str()
+                       : "bitwise identical");
+  return mismatch ? 1 : 0;
 }

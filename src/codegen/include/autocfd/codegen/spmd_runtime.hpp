@@ -10,6 +10,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,12 +20,25 @@
 
 namespace autocfd::codegen {
 
+/// A run's status arrays by name (SpmdRunResult::gathered,
+/// SeqRunResult::arrays).
+using ArrayMap = std::map<std::string, std::vector<double>>;
+
+/// The validation every seq-vs-par and run-vs-run check uses: compares
+/// `expected` and `actual` bit for bit (one memcmp per named array) and
+/// describes the first mismatch in name order, or returns nullopt when
+/// both hold the same arrays with the same bits. An array missing from
+/// either side or of another length is a mismatch; a NaN matches only
+/// the same NaN bits, and -0.0 does not match 0.0.
+[[nodiscard]] std::optional<std::string> first_mismatch(
+    const ArrayMap& expected, const ArrayMap& actual);
+
 struct SpmdRunResult {
   mp::Cluster::RunResult cluster;
   double elapsed = 0.0;  // slowest rank's virtual time (seconds)
   /// Global status arrays assembled from the owned blocks (column
   /// major, same layout as a sequential run) — for validation.
-  std::map<std::string, std::vector<double>> gathered;
+  ArrayMap gathered;
   std::vector<std::string> rank0_output;
   double total_flops = 0.0;
   /// Bytecode-engine counters summed over all ranks (zeros when the
@@ -80,7 +94,7 @@ struct SpmdRunOptions {
 struct SeqRunResult {
   double elapsed = 0.0;
   double flops = 0.0;
-  std::map<std::string, std::vector<double>> arrays;  // status arrays
+  ArrayMap arrays;  // status arrays
   std::vector<std::string> output;
   interp::bytecode::EngineStats engine_stats;
 };

@@ -1,6 +1,7 @@
 #include "autocfd/codegen/spmd_runtime.hpp"
 
 #include <cstring>
+#include <string>
 
 #include "autocfd/codegen/comm_schedule.hpp"
 #include "autocfd/partition/grid.hpp"
@@ -409,6 +410,33 @@ SeqRunResult run_sequential_timed(fortran::SourceFile& file,
     out.arrays[name] = env.arrays[static_cast<std::size_t>(slot)].data;
   }
   return out;
+}
+
+std::optional<std::string> first_mismatch(const ArrayMap& expected,
+                                          const ArrayMap& actual) {
+  for (const auto& [name, want] : expected) {
+    const auto it = actual.find(name);
+    if (it == actual.end()) return name + ": missing from the second result";
+    const auto& got = it->second;
+    if (got.size() != want.size()) {
+      return name + ": " + std::to_string(want.size()) + " vs " +
+             std::to_string(got.size()) + " elements";
+    }
+    if (want.empty() ||
+        std::memcmp(want.data(), got.data(), want.size() * sizeof(double)) ==
+            0) {
+      continue;
+    }
+    std::size_t i = 0;
+    while (std::memcmp(&want[i], &got[i], sizeof(double)) == 0) ++i;
+    return name + "[" + std::to_string(i) + "] differs";
+  }
+  for (const auto& entry : actual) {
+    if (!expected.contains(entry.first)) {
+      return entry.first + ": missing from the first result";
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace autocfd::codegen

@@ -33,10 +33,9 @@ inline constexpr int kLedgerSchemaVersion = 1;
 /// One execution distilled for longitudinal comparison. The meta
 /// fields identify *what* was measured (the regression sentinel only
 /// compares records that agree on all of them); `metrics` holds every
-/// numeric observation under the flat dotted-key convention the bench
-/// sidecars already use ("elapsed_s", "phase.total.wall_s",
-/// "hot.0.time_s", ...); `attrs` holds string-valued facts ("hot.0
-/// .class", "plan.partition", ...).
+/// numeric observation under flat dotted keys ("elapsed_s",
+/// "phase.total.wall_s", "hot.0.time_s", ...); `attrs` holds
+/// string-valued facts ("hot.0.class", "plan.partition", ...).
 struct RunRecord {
   int schema_version = kLedgerSchemaVersion;
   /// Provenance of the record: "run" (acfd), "bench" (a bench binary's
@@ -88,24 +87,6 @@ struct LedgerReadResult {
 /// Returns a one-line diagnostic on I/O failure, nullopt on success.
 std::optional<std::string> append_record(const std::string& path,
                                          const RunRecord& record);
-
-/// Compaction: rewrites the ledger keeping only the newest
-/// `keep_last` records of every group (RunRecord::group_key), in
-/// their original relative order. Unreadable lines are dropped (they
-/// were unreadable anyway). Returns a diagnostic on I/O failure.
-struct CompactionStats {
-  std::size_t kept = 0;
-  std::size_t dropped = 0;
-};
-std::optional<std::string> compact_ledger(const std::string& path,
-                                          std::size_t keep_last,
-                                          CompactionStats* stats = nullptr);
-
-/// Rotation: when the ledger holds more than `max_records` readable
-/// records, renames it to "<path>.1" (replacing any previous rotation)
-/// so appends start a fresh file. Returns true when a rotation
-/// happened.
-bool rotate_ledger(const std::string& path, std::size_t max_records);
 
 /// FNV-1a (64-bit) fingerprint of a source text, as fixed-width hex —
 /// the identity that ties ledger records back to the exact program

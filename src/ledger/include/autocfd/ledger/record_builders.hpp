@@ -34,8 +34,10 @@ struct RunMeta {
 /// block — elapsed/speedup, rank-time decomposition, wire totals,
 /// recovery rollup, top-5 hot loops, compile summary, partition and
 /// engine identity; `obs` (nullable) contributes the pass-profiler
-/// phases and the metrics-registry snapshot. With both null the record
-/// carries meta only — still a valid (if silent) history point.
+/// phases only, so what else the caller exported into obs->metrics
+/// (e.g. for --metrics-out) never changes the record. With both null
+/// the record carries meta only — still a valid (if silent) history
+/// point.
 [[nodiscard]] RunRecord make_run_record(const RunMeta& meta,
                                         const prof::RunReport* report,
                                         const obs::ObsContext* obs);

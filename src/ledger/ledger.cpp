@@ -1,7 +1,6 @@
 #include "autocfd/ledger/ledger.hpp"
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -179,57 +178,6 @@ std::optional<std::string> append_record(const std::string& path,
     return "write to ledger '" + path + "' failed";
   }
   return std::nullopt;
-}
-
-// ------------------------------------------- compaction and rotation
-
-std::optional<std::string> compact_ledger(const std::string& path,
-                                          std::size_t keep_last,
-                                          CompactionStats* stats) {
-  auto parsed = read_ledger(path);
-  // Count how many of each group survive: the newest keep_last.
-  std::map<std::string, std::size_t> group_sizes;
-  for (const auto& rec : parsed.records) ++group_sizes[rec.group_key()];
-
-  std::vector<const RunRecord*> kept;
-  std::map<std::string, std::size_t> seen;
-  for (const auto& rec : parsed.records) {
-    const auto key = rec.group_key();
-    const std::size_t index = seen[key]++;
-    // Keep records whose index counts into the final keep_last.
-    if (index + keep_last >= group_sizes[key]) kept.push_back(&rec);
-  }
-
-  // Rewrite via a sibling temp file, then replace atomically.
-  const std::string tmp = path + ".compact.tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) return "cannot write '" + tmp + "'";
-    for (const auto* rec : kept) {
-      rec->write_json(os);
-      os << "\n";
-    }
-    os.flush();
-    if (!os) return "write to '" + tmp + "' failed";
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return "cannot replace ledger '" + path + "': " + ec.message();
-  }
-  if (stats != nullptr) {
-    stats->kept = kept.size();
-    stats->dropped = parsed.records.size() - kept.size();
-  }
-  return std::nullopt;
-}
-
-bool rotate_ledger(const std::string& path, std::size_t max_records) {
-  const auto parsed = read_ledger(path);
-  if (parsed.records.size() <= max_records) return false;
-  std::error_code ec;
-  std::filesystem::rename(path, path + ".1", ec);
-  return !ec;
 }
 
 // ---------------------------------------------------------- fingerprint

@@ -83,7 +83,7 @@ RunRecord make_run_record(const RunMeta& meta,
     rec.metrics["compile.mirror_image_loops"] =
         report->compile.mirror_image_loops;
 
-    // Top-5 hot loops, in the bench sidecars' hot.N.* convention.
+    // Top-5 hot loops as hot.N.*.
     const auto hot = report->profile.hottest(5);
     for (std::size_t i = 0; i < hot.size(); ++i) {
       const std::string prefix = "hot." + std::to_string(i);
@@ -105,22 +105,6 @@ RunRecord make_run_record(const RunMeta& meta,
       }
     }
     rec.metrics["phase.total.wall_s"] = obs->profiler.total_wall_s();
-
-    // Metrics-registry snapshot: counters and gauges verbatim,
-    // histograms as their summary statistics.
-    for (const auto& [name, value] : obs->metrics.counters()) {
-      rec.metrics[name] = static_cast<double>(value);
-    }
-    for (const auto& [name, value] : obs->metrics.gauges()) {
-      rec.metrics[name] = value;
-    }
-    for (const auto& [name, hist] : obs->metrics.histograms()) {
-      rec.metrics[name + ".count"] = static_cast<double>(hist.count());
-      rec.metrics[name + ".sum"] = hist.sum();
-      rec.metrics[name + ".mean"] = hist.mean();
-      rec.metrics[name + ".min"] = hist.min();
-      rec.metrics[name + ".max"] = hist.max();
-    }
   }
   return rec;
 }

@@ -1,9 +1,8 @@
 // PlanInput: the measured evidence one planning pass works from.
 //
 // A PlanInput is a distilled run report — the partition and combining
-// strategy the run used, the per-source-line compute profile, the
-// per-rank compute decomposition, the per-site communication bill, and
-// the per-link traffic. It can be loaded from the JSON that
+// strategy the run used, the per-source-line compute profile and the
+// per-site communication bill. It can be loaded from the JSON that
 // `acfd --report=json` wrote (the two-run CLI workflow) or lifted
 // straight from an in-memory prof::RunReport (benches and tests).
 // Loading validates the report's schema_version: a report written by
@@ -20,27 +19,18 @@
 namespace autocfd::plan {
 
 struct PlanInput {
-  int schema_version = 0;
   std::string title;
   std::string partition;  // PartitionSpec::str() of the measured run
   int nranks = 0;
-  std::string engine;
   double elapsed_s = 0.0;
-  double total_flops = 0.0;
   std::string strategy;  // combine strategy name of the measured run
 
   double total_compute_s = 0.0;  // summed over ranks
-  std::vector<double> rank_compute_s;
 
   /// One source-attributed profile entry (loops and statements).
   struct Loop {
     int line = 0;
-    bool is_loop = false;
-    bool self_dependent = false;
-    std::string loop_class;
-    long long count = 0;
     double time_s = 0.0;  // attributed compute, summed over ranks
-    double share = 0.0;
   };
   std::vector<Loop> loops;
 
@@ -50,21 +40,9 @@ struct PlanInput {
     std::string kind;  // "halo" | "pipeline" | "collective"
     std::string label;
     long long messages = 0;
-    long long bytes = 0;
-    double wait_s = 0.0;
     double cost_s = 0.0;
   };
   std::vector<Site> sites;
-
-  /// Aggregated per-link traffic (comm matrix neighbors).
-  struct Link {
-    int src = -1;
-    int dst = -1;
-    long long messages = 0;
-    long long bytes = 0;
-    double wait_s = 0.0;
-  };
-  std::vector<Link> links;
 
   /// Measured compute seconds attributed to `line`, 0 when absent.
   [[nodiscard]] double loop_time(int line) const;

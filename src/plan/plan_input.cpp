@@ -46,12 +46,11 @@ std::optional<PlanInput> plan_input_from_json(std::string_view text,
     return std::nullopt;
   }
 
-  PlanInput in;
-  in.schema_version = static_cast<int>(root->int_or("schema_version", 0));
-  if (in.schema_version != prof::kRunReportSchemaVersion) {
+  const auto schema_version = root->int_or("schema_version", 0);
+  if (schema_version != prof::kRunReportSchemaVersion) {
     if (error != nullptr) {
       *error = "run report schema_version " +
-               std::to_string(in.schema_version) + " (planner expects " +
+               std::to_string(schema_version) + " (planner expects " +
                std::to_string(prof::kRunReportSchemaVersion) +
                "); re-generate the report with this build's "
                "`acfd --report=json`";
@@ -59,58 +58,27 @@ std::optional<PlanInput> plan_input_from_json(std::string_view text,
     return std::nullopt;
   }
 
+  PlanInput in;
   in.title = root->str_or("title", "");
   in.partition = root->str_or("partition", "");
   in.nranks = static_cast<int>(root->int_or("nranks", 0));
-  in.engine = root->str_or("engine", "");
   in.elapsed_s = root->num_or("elapsed_s", 0.0);
-  in.total_flops = root->num_or("total_flops", 0.0);
   if (const auto* compile = root->find("compile")) {
     in.strategy = compile->str_or("strategy", "min");
   }
 
   if (const auto* profile = root->find("profile")) {
     in.total_compute_s = profile->num_or("total_compute_s", 0.0);
-    for (const auto& v : profile->list("rank_compute_s")) {
-      if (v.kind == JsonValue::Kind::Number) {
-        in.rank_compute_s.push_back(v.number);
-      }
-    }
     for (const auto& e : profile->list("entries")) {
-      PlanInput::Loop loop;
-      loop.line = static_cast<int>(e.int_or("line", 0));
-      loop.is_loop = e.bool_or("loop", false);
-      loop.self_dependent = e.bool_or("self_dependent", false);
-      loop.loop_class = e.str_or("class", "");
-      loop.count = e.int_or("count", 0);
-      loop.time_s = e.num_or("time_s", 0.0);
-      loop.share = e.num_or("share", 0.0);
-      in.loops.push_back(std::move(loop));
+      in.loops.push_back({static_cast<int>(e.int_or("line", 0)),
+                          e.num_or("time_s", 0.0)});
     }
   }
 
   for (const auto& s : root->list("sites")) {
-    PlanInput::Site site;
-    site.site = static_cast<int>(s.int_or("site", -1));
-    site.kind = s.str_or("kind", "");
-    site.label = s.str_or("label", "");
-    site.messages = s.int_or("messages", 0);
-    site.bytes = s.int_or("bytes", 0);
-    site.wait_s = s.num_or("wait_s", 0.0);
-    site.cost_s = s.num_or("cost_s", 0.0);
-    in.sites.push_back(std::move(site));
-  }
-
-  if (const auto* comm = root->find("comm")) {
-    for (const auto& n : comm->list("neighbors")) {
-      PlanInput::Link link;
-      link.src = static_cast<int>(n.int_or("src", -1));
-      link.dst = static_cast<int>(n.int_or("dst", -1));
-      link.messages = n.int_or("messages", 0);
-      link.bytes = n.int_or("bytes", 0);
-      link.wait_s = n.num_or("wait_s", 0.0);
-      in.links.push_back(link);
-    }
+    in.sites.push_back({static_cast<int>(s.int_or("site", -1)),
+                        s.str_or("kind", ""), s.str_or("label", ""),
+                        s.int_or("messages", 0), s.num_or("cost_s", 0.0)});
   }
   return in;
 }
@@ -131,47 +99,18 @@ std::optional<PlanInput> load_plan_input(const std::string& path,
 
 PlanInput plan_input_from_report(const prof::RunReport& report) {
   PlanInput in;
-  in.schema_version = prof::kRunReportSchemaVersion;
   in.title = report.title;
   in.partition = report.partition;
   in.nranks = report.nranks;
-  in.engine = report.engine;
   in.elapsed_s = report.elapsed_s;
-  in.total_flops = report.total_flops;
   in.strategy = sync::combine_strategy_name(report.compile.strategy);
 
   in.total_compute_s = report.profile.total_seconds;
-  in.rank_compute_s = report.profile.rank_seconds;
   for (const auto& e : report.profile.entries) {
-    PlanInput::Loop loop;
-    loop.line = e.loc.line;
-    loop.is_loop = e.is_loop;
-    loop.self_dependent = e.self_dependent;
-    loop.loop_class = e.loop_class;
-    loop.count = e.count;
-    loop.time_s = e.time_s;
-    loop.share = e.share;
-    in.loops.push_back(std::move(loop));
+    in.loops.push_back({static_cast<int>(e.loc.line), e.time_s});
   }
   for (const auto& s : report.sites) {
-    PlanInput::Site site;
-    site.site = s.site;
-    site.kind = s.kind;
-    site.label = s.label;
-    site.messages = s.messages;
-    site.bytes = s.bytes;
-    site.wait_s = s.wait_s;
-    site.cost_s = s.cost_s;
-    in.sites.push_back(std::move(site));
-  }
-  for (const auto& f : report.comm.neighbors) {
-    PlanInput::Link link;
-    link.src = f.src;
-    link.dst = f.dst;
-    link.messages = f.messages;
-    link.bytes = f.bytes;
-    link.wait_s = f.wait_s;
-    in.links.push_back(link);
+    in.sites.push_back({s.site, s.kind, s.label, s.messages, s.cost_s});
   }
   return in;
 }

@@ -88,11 +88,14 @@ struct CommMatrix {
   std::vector<RankTotals> rank_totals;
 };
 
+/// Timeline buckets of every run report's communication matrix.
+inline constexpr int kTimelineBuckets = 24;
+
 /// Builds the matrix from a recorded trace. `tags` (nullable) resolves
 /// tag/site labels and halo classification; `nbuckets` sizes the
 /// timeline (the run's elapsed time is split evenly).
 [[nodiscard]] CommMatrix build_comm_matrix(const trace::Trace& trace,
                                            const sync::TagRegistry* tags,
-                                           int nbuckets = 24);
+                                           int nbuckets = kTimelineBuckets);
 
 }  // namespace autocfd::prof

@@ -84,7 +84,6 @@ struct ReportOptions {
   std::string title;
   std::string engine;
   std::optional<double> seq_elapsed_s;
-  int timeline_buckets = 24;
   /// The run executed with the reliable-delivery protocol on; the
   /// report then includes the recovery rollup even if no fault fired.
   bool recovery_enabled = false;

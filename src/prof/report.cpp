@@ -46,8 +46,7 @@ RunReport build_run_report(const core::ParallelProgram& program,
   report.profile = build_source_profile(run.profiles);
   if (provenance != nullptr) attach_provenance(report.profile, *provenance);
 
-  report.comm =
-      build_comm_matrix(trace, &program.meta.tags, options.timeline_buckets);
+  report.comm = build_comm_matrix(trace, &program.meta.tags);
 
   // Merge rationales, in emission order: the i-th CombineMerge entry
   // explains the combined sync point with halo ordinal i, the i-th

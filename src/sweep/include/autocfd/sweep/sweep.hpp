@@ -64,8 +64,6 @@ struct SweepSpec {
   /// Score the planner's candidate table against every scale point's
   /// measured cell (fills ScalingReport::plan_points).
   bool plan = false;
-  /// Timeline buckets of each cell's RunReport.
-  int timeline_buckets = 24;
 
   /// Parses a spec JSON document. Returns nullopt (with a diagnostic
   /// in `error`) on malformed JSON, an unknown schema_version, or an
@@ -75,8 +73,6 @@ struct SweepSpec {
   /// Reads and parses a spec file.
   [[nodiscard]] static std::optional<SweepSpec> load(const std::string& path,
                                                      std::string* error);
-  /// Deterministic JSON of this spec (round-trips through parse).
-  [[nodiscard]] std::string json() const;
 };
 
 struct SweepOptions {

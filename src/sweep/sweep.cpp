@@ -11,7 +11,6 @@
 #include "autocfd/ledger/record_builders.hpp"
 #include "autocfd/mp/recovery.hpp"
 #include "autocfd/obs/json_reader.hpp"
-#include "autocfd/obs/json_util.hpp"
 #include "autocfd/plan/planner.hpp"
 #include "autocfd/trace/recorder.hpp"
 
@@ -106,8 +105,6 @@ std::optional<SweepSpec> SweepSpec::parse(std::string_view text,
   spec.recovery = root->str_or("recovery", "");
   spec.sequential_baseline = root->bool_or("sequential_baseline", false);
   spec.plan = root->bool_or("plan", false);
-  spec.timeline_buckets =
-      static_cast<int>(root->int_or("timeline_buckets", 24));
   return spec;
 }
 
@@ -123,43 +120,6 @@ std::optional<SweepSpec> SweepSpec::load(const std::string& path,
   auto spec = parse(buf.str(), error);
   if (!spec && error != nullptr) *error = path + ": " + *error;
   return spec;
-}
-
-std::string SweepSpec::json() const {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"schema_version\": " << schema_version << ",\n";
-  os << "  \"title\": \"" << obs::json_escape(title) << "\",\n";
-  os << "  \"ranks\": [";
-  for (std::size_t i = 0; i < ranks.size(); ++i) {
-    os << (i > 0 ? ", " : "") << ranks[i];
-  }
-  os << "],\n";
-  os << "  \"partitions\": {";
-  bool first = true;
-  for (const auto& [nranks, shapes] : partitions) {
-    os << (first ? "" : ", ") << "\"" << nranks << "\": [";
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      os << (i > 0 ? ", " : "") << "\"" << obs::json_escape(shapes[i])
-         << "\"";
-    }
-    os << "]";
-    first = false;
-  }
-  os << "},\n";
-  os << "  \"engines\": [";
-  for (std::size_t i = 0; i < engines.size(); ++i) {
-    os << (i > 0 ? ", " : "") << "\"" << obs::json_escape(engines[i]) << "\"";
-  }
-  os << "],\n";
-  os << "  \"strategy\": \"" << obs::json_escape(strategy) << "\",\n";
-  os << "  \"faults\": \"" << obs::json_escape(faults) << "\",\n";
-  os << "  \"recovery\": \"" << obs::json_escape(recovery) << "\",\n";
-  os << "  \"sequential_baseline\": "
-     << (sequential_baseline ? "true" : "false") << ",\n";
-  os << "  \"plan\": " << (plan ? "true" : "false") << ",\n";
-  os << "  \"timeline_buckets\": " << timeline_buckets << "\n}\n";
-  return os.str();
 }
 
 // ----------------------------------------------------------- run_sweep
@@ -485,7 +445,6 @@ SweepResult run_sweep(const std::string& source,
     if (result.report.seq_elapsed_s > 0.0) {
       ropts.seq_elapsed_s = result.report.seq_elapsed_s;
     }
-    ropts.timeline_buckets = spec.timeline_buckets;
     auto rep = prof::build_run_report(*program, run, recorder.trace(),
                                       &obs.provenance, ropts);
 

@@ -10,11 +10,10 @@
 //     elapsed regression trips it naming the metric, identical series
 //     and improvements never do, and metrics below min_history wait
 //     instead of gating.
-//   * Compaction keeps the newest K records per group in order;
-//     rotation renames a grown ledger aside exactly when asked.
 //   * The builders distill real artifacts: a finished run report, a
 //     bench sidecar (file and maps), and a sweep appends one coherent
-//     record per cell.
+//     record per cell. A run record does not depend on what else the
+//     caller put in the metrics registry.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -32,6 +31,7 @@
 #include "autocfd/prof/report.hpp"
 #include "autocfd/support/output_paths.hpp"
 #include "autocfd/sweep/sweep.hpp"
+#include "autocfd/trace/metrics_bridge.hpp"
 #include "autocfd/trace/recorder.hpp"
 
 namespace autocfd::ledger {
@@ -318,47 +318,6 @@ TEST(Sentinel, SidecarPairWithMismatchedBuildTypeIsRefused) {
                   .empty());
 }
 
-// --------------------------------------------- compaction & rotation
-
-TEST(LedgerMaintenance, CompactionKeepsNewestPerGroupInOrder) {
-  const std::string path = temp_path("compact.jsonl");
-  std::error_code ec;
-  fs::remove(path, ec);
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_FALSE(append_record(path, make_rec("aerofoil", 1.0 + i)));
-  }
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_FALSE(append_record(path, make_rec("sprayer", 10.0 + i)));
-  }
-  CompactionStats stats;
-  ASSERT_FALSE(compact_ledger(path, 2, &stats));
-  EXPECT_EQ(stats.kept, 4u);
-  EXPECT_EQ(stats.dropped, 3u);
-
-  const auto after = read_ledger(path);
-  ASSERT_EQ(after.records.size(), 4u);
-  EXPECT_EQ(after.records[0].metrics.at("elapsed_s"), 4.0);
-  EXPECT_EQ(after.records[1].metrics.at("elapsed_s"), 5.0);
-  EXPECT_EQ(after.records[2].metrics.at("elapsed_s"), 10.0);
-  EXPECT_EQ(after.records[3].metrics.at("elapsed_s"), 11.0);
-}
-
-TEST(LedgerMaintenance, RotationRenamesExactlyWhenOverLimit) {
-  const std::string path = temp_path("rotate.jsonl");
-  std::error_code ec;
-  fs::remove(path, ec);
-  fs::remove(path + ".1", ec);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_FALSE(append_record(path, make_rec("a", 1.0 + i)));
-  }
-  EXPECT_FALSE(rotate_ledger(path, 10));  // under the limit: no-op
-  EXPECT_TRUE(fs::exists(path));
-  EXPECT_TRUE(rotate_ledger(path, 3));
-  EXPECT_FALSE(fs::exists(path));
-  EXPECT_TRUE(fs::exists(path + ".1"));
-  EXPECT_EQ(read_ledger(path + ".1").records.size(), 4u);
-}
-
 // ----------------------------------------------------------- builders
 
 TEST(RecordBuilders, DistillsARealRunReport) {
@@ -415,6 +374,15 @@ TEST(RecordBuilders, DistillsARealRunReport) {
   const auto back = parse_ledger(rec.json() + "\n", "mem");
   ASSERT_EQ(back.records.size(), 1u);
   EXPECT_EQ(back.records[0].json(), rec.json());
+
+  // What a caller exports into the metrics registry (acfd
+  // --metrics-out) never reaches the record: the same run gives the
+  // same record with or without it.
+  trace::trace_to_metrics(recorder.trace(), obs.metrics);
+  obs.metrics.set_gauge("runtime.elapsed_s", 2.0 * report.elapsed_s);
+  obs.metrics.add("engine.bytecode.kernels_compiled", 3);
+  ASSERT_FALSE(obs.metrics.histograms().empty());
+  EXPECT_EQ(make_run_record(meta, &report, &obs).json(), rec.json());
 }
 
 TEST(RecordBuilders, LiftsSidecarMetaIntoIdentity) {

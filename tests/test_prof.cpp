@@ -7,6 +7,7 @@
 // plan. On top of that, run reports must be deterministic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -127,6 +128,23 @@ TEST_P(AttributionCompleteness, AttributedComputeEqualsRankClocks) {
   double share_sum = 0.0;
   for (const auto& e : profile.entries) share_sum += e.share;
   expect_near_rel(share_sum, 1.0, 1e-9);
+
+  // The run report's books balance too: each rank row's parts sum to
+  // the rank's own clock, the slowest rank is the run's elapsed time,
+  // and the profile's per-rank compute equals the breakdown's.
+  const auto report = build_run_report(*run.program, run.result, run.trace,
+                                       &run.obs.provenance, {});
+  const double tol = 1e-9 * std::max(report.elapsed_s, 1e-12);
+  ASSERT_EQ(report.ranks.size(), static_cast<std::size_t>(nranks));
+  ASSERT_EQ(report.profile.rank_seconds.size(), report.ranks.size());
+  double slowest = 0.0;
+  for (std::size_t r = 0; r < report.ranks.size(); ++r) {
+    const auto& b = report.ranks[r];
+    EXPECT_NEAR(b.total(), stats[r].total_time(), tol) << r;
+    EXPECT_NEAR(report.profile.rank_seconds[r], b.compute, tol) << r;
+    slowest = std::max(slowest, b.total());
+  }
+  EXPECT_NEAR(slowest, report.elapsed_s, tol);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -414,10 +432,17 @@ TEST(RunReport, RecoverySummaryReconcilesAndRenders) {
   EXPECT_EQ(report.recovery.recovered, recovered);
   EXPECT_NEAR(report.recovery.recovery_s, recovery_s, 1e-12);
 
-  // The per-rank rows carry the recovery split and sum to the summary.
+  EXPECT_GT(report.recovery.recovered, 0);
+
+  // The per-rank rows carry the recovery split and sum to the summary,
+  // and each row's parts still sum to the rank's own clock.
+  const double tol = 1e-9 * std::max(report.elapsed_s, 1e-12);
+  ASSERT_EQ(report.ranks.size(), run.result.cluster.ranks.size());
   double rank_recovery = 0.0;
-  for (const auto& rb : report.ranks) {
+  for (std::size_t r = 0; r < report.ranks.size(); ++r) {
+    const auto& rb = report.ranks[r];
     EXPECT_LE(rb.recovery, rb.wait + 1e-12);
+    EXPECT_NEAR(rb.total(), run.result.cluster.ranks[r].total_time(), tol);
     rank_recovery += rb.recovery;
   }
   EXPECT_NEAR(rank_recovery, report.recovery.recovery_s, 1e-12);

@@ -6,6 +6,8 @@
 // self-dependent sweeps of Figure 3(b).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "autocfd/core/pipeline.hpp"
 #include "autocfd/fortran/parser.hpp"
 
@@ -13,9 +15,9 @@ namespace autocfd::core {
 namespace {
 
 /// Runs source sequentially and in parallel under `partition`; expects
-/// all status arrays to match within `tol` (0 = bitwise).
-void expect_equivalent(const std::string& source, const std::string& partition,
-                       double tol = 0.0) {
+/// every status array to match bitwise.
+void expect_equivalent(const std::string& source,
+                       const std::string& partition) {
   DiagnosticEngine diags;
   auto dirs = Directives::extract(source, diags);
   ASSERT_FALSE(diags.has_errors()) << diags.dump();
@@ -30,22 +32,9 @@ void expect_equivalent(const std::string& source, const std::string& partition,
   auto program = parallelize(source, dirs);
   auto par = program->run(machine);
 
-  for (const auto& name : dirs.status_arrays) {
-    const auto sit = seq.arrays.find(name);
-    const auto pit = par.gathered.find(name);
-    ASSERT_NE(sit, seq.arrays.end()) << name;
-    ASSERT_NE(pit, par.gathered.end()) << name;
-    ASSERT_EQ(sit->second.size(), pit->second.size()) << name;
-    for (std::size_t i = 0; i < sit->second.size(); ++i) {
-      if (tol == 0.0) {
-        ASSERT_EQ(sit->second[i], pit->second[i])
-            << name << "[" << i << "] partition " << partition;
-      } else {
-        ASSERT_NEAR(sit->second[i], pit->second[i], tol)
-            << name << "[" << i << "] partition " << partition;
-      }
-    }
-  }
+  ASSERT_EQ(seq.arrays.size(), dirs.status_arrays.size());
+  EXPECT_EQ(codegen::first_mismatch(seq.arrays, par.gathered), std::nullopt)
+      << "partition " << partition;
 }
 
 constexpr const char* kJacobi = R"(
@@ -480,6 +469,51 @@ TEST(SpmdSource, ParallelSourceLooksLikeMpi) {
   DiagnosticEngine reparse;
   (void)fortran::parse_source(src, reparse);
   EXPECT_FALSE(reparse.has_errors()) << reparse.dump();
+}
+
+// ------------------------------------------------- bitwise comparison
+
+TEST(FirstMismatch, IdenticalMapsMatch) {
+  const codegen::ArrayMap a{{"u", {1.0, 2.0}}, {"v", {}}};
+  EXPECT_EQ(codegen::first_mismatch(a, a), std::nullopt);
+}
+
+TEST(FirstMismatch, MissingArrayOnEitherSide) {
+  const codegen::ArrayMap both{{"u", {1.0}}, {"v", {2.0}}};
+  const codegen::ArrayMap only_u{{"u", {1.0}}};
+  const auto second = codegen::first_mismatch(both, only_u);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(*second, "v: missing from the second result");
+  const auto first = codegen::first_mismatch(only_u, both);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(*first, "v: missing from the first result");
+}
+
+TEST(FirstMismatch, ResizedArray) {
+  const auto mismatch = codegen::first_mismatch({{"u", {1.0, 2.0}}},
+                                                {{"u", {1.0, 2.0, 0.0}}});
+  ASSERT_TRUE(mismatch.has_value());
+  EXPECT_EQ(*mismatch, "u: 2 vs 3 elements");
+}
+
+TEST(FirstMismatch, NaNMatchesOnlyItsOwnBits) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // An abs-diff check lets a NaN through; bitwise it is a mismatch...
+  const auto mismatch =
+      codegen::first_mismatch({{"u", {1.0, 2.0}}}, {{"u", {1.0, nan}}});
+  ASSERT_TRUE(mismatch.has_value());
+  EXPECT_EQ(*mismatch, "u[1] differs");
+  // ...while the same NaN on both sides is the same result.
+  EXPECT_EQ(codegen::first_mismatch({{"u", {nan}}}, {{"u", {nan}}}),
+            std::nullopt);
+}
+
+TEST(FirstMismatch, NegativeZeroDiffersFromZero) {
+  const auto mismatch =
+      codegen::first_mismatch({{"a", {0.0}}, {"b", {0.0}}},
+                              {{"a", {0.0}}, {"b", {-0.0}}});
+  ASSERT_TRUE(mismatch.has_value());
+  EXPECT_EQ(*mismatch, "b[0] differs");
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Scaling observatory: the contract of the src/sweep subsystem.
 //
-//   * A SweepSpec round-trips through its JSON; foreign schema
+//   * A SweepSpec parses every field of its JSON; foreign schema
 //     versions are rejected with an actionable diagnostic, never
 //     misread, and so are empty/invalid rank lists.
 //   * A sweep is deterministic: running the same spec twice yields
@@ -22,6 +22,7 @@
 #include "autocfd/cfd/apps.hpp"
 #include "autocfd/core/pipeline.hpp"
 #include "autocfd/sweep/sweep.hpp"
+#include "autocfd/trace/recorder.hpp"
 
 namespace autocfd::sweep {
 namespace {
@@ -32,11 +33,12 @@ struct App {
   core::Directives dirs;
 };
 
-App test_aerofoil() {
+/// The defaults are small test sizes; examples/aerofoil.f is 40x20x8.
+App test_aerofoil(long long n1 = 24, long long n2 = 10, long long n3 = 4) {
   cfd::AerofoilParams p;
-  p.n1 = 24;
-  p.n2 = 10;
-  p.n3 = 4;
+  p.n1 = n1;
+  p.n2 = n2;
+  p.n3 = n3;
   p.frames = 2;
   App app{"aerofoil", cfd::aerofoil_source(p), {}};
   DiagnosticEngine diags;
@@ -45,16 +47,38 @@ App test_aerofoil() {
   return app;
 }
 
-App test_sprayer() {
+/// The defaults are small test sizes; examples/sprayer.f is 64x32.
+App test_sprayer(long long nx = 24, long long ny = 16) {
   cfd::SprayerParams p;
-  p.nx = 24;
-  p.ny = 16;
+  p.nx = nx;
+  p.ny = ny;
   p.frames = 2;
   App app{"sprayer", cfd::sprayer_source(p), {}};
   DiagnosticEngine diags;
   app.dirs = core::Directives::extract(app.source, diags);
   EXPECT_FALSE(diags.has_errors()) << diags.dump();
   return app;
+}
+
+/// A standalone profiled run on `nranks` ranks under the static
+/// heuristic's partition, as `acfd --nprocs N --report=json` makes it.
+prof::RunReport standalone_report(const App& app, int nranks) {
+  core::Directives dirs = app.dirs;
+  dirs.nprocs = nranks;
+  obs::ObsContext obs;
+  auto program = core::parallelize(app.source, dirs,
+                                   sync::CombineStrategy::Min, &obs);
+  trace::TraceRecorder recorder;
+  codegen::SpmdRunOptions opts;
+  opts.sink = &recorder;
+  opts.profile = true;
+  const auto run =
+      program->run(mp::MachineConfig::pentium_ethernet_1999(), opts);
+  prof::ReportOptions ropts;
+  ropts.title = app.name;
+  ropts.engine = "bytecode";
+  return prof::build_run_report(*program, run, recorder.trace(),
+                                &obs.provenance, ropts);
 }
 
 /// Asserts one cell is an exact view of the report it was distilled
@@ -127,33 +151,36 @@ TEST(SweepSpec, RejectsEmptyOrInvalidRanks) {
   EXPECT_NE(error.find("not positive"), std::string::npos) << error;
 }
 
+// A literal spec that sets every field parses into exactly those
+// values (every field differs from its default).
 TEST(SweepSpec, JsonRoundTrips) {
-  SweepSpec spec;
-  spec.title = "round trip";
-  spec.ranks = {1, 2, 4};
-  spec.partitions[4] = {"2x2x1", "4x1x1"};
-  spec.engines = {"bytecode", "tree"};
-  spec.strategy = "pairwise";
-  spec.faults = "seed=11,jitter=0.5:0.03";
-  spec.recovery = "budget=4,rto=0.002,backoff=2,cap=0.02";
-  spec.sequential_baseline = true;
-  spec.plan = true;
-  spec.timeline_buckets = 12;
-
   std::string error;
-  const auto parsed = SweepSpec::parse(spec.json(), &error);
+  const auto parsed = SweepSpec::parse(R"({
+    "schema_version": 1,
+    "title": "round \"trip\"",
+    "ranks": [1, 2, 4],
+    "partitions": {"4": ["2x2x1", "4x1x1"]},
+    "engines": ["bytecode", "tree"],
+    "strategy": "pairwise",
+    "faults": "seed=11,jitter=0.5:0.03",
+    "recovery": "budget=4,rto=0.002,backoff=2,cap=0.02",
+    "sequential_baseline": true,
+    "plan": true
+  })", &error);
   ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(parsed->title, spec.title);
-  EXPECT_EQ(parsed->ranks, spec.ranks);
-  EXPECT_EQ(parsed->partitions, spec.partitions);
-  EXPECT_EQ(parsed->engines, spec.engines);
-  EXPECT_EQ(parsed->strategy, spec.strategy);
-  EXPECT_EQ(parsed->faults, spec.faults);
-  EXPECT_EQ(parsed->recovery, spec.recovery);
-  EXPECT_EQ(parsed->sequential_baseline, spec.sequential_baseline);
-  EXPECT_EQ(parsed->plan, spec.plan);
-  EXPECT_EQ(parsed->timeline_buckets, spec.timeline_buckets);
-  EXPECT_EQ(parsed->json(), spec.json());
+  EXPECT_EQ(parsed->schema_version, kSweepSpecSchemaVersion);
+  EXPECT_EQ(parsed->title, "round \"trip\"");
+  EXPECT_EQ(parsed->ranks, (std::vector<int>{1, 2, 4}));
+  EXPECT_EQ(parsed->partitions,
+            (std::map<int, std::vector<std::string>>{
+                {4, {"2x2x1", "4x1x1"}}}));
+  EXPECT_EQ(parsed->engines,
+            (std::vector<std::string>{"bytecode", "tree"}));
+  EXPECT_EQ(parsed->strategy, "pairwise");
+  EXPECT_EQ(parsed->faults, "seed=11,jitter=0.5:0.03");
+  EXPECT_EQ(parsed->recovery, "budget=4,rto=0.002,backoff=2,cap=0.02");
+  EXPECT_TRUE(parsed->sequential_baseline);
+  EXPECT_TRUE(parsed->plan);
 }
 
 // ------------------------------------------------------------ sweep
@@ -195,6 +222,12 @@ TEST(Sweep, CellsReconcileExactlyWithRunReports) {
   ASSERT_EQ(result.cell_reports.size(), 3u);
   for (std::size_t i = 0; i < result.report.cells.size(); ++i) {
     expect_reconciles(result.report.cells[i], result.cell_reports[i]);
+  }
+  // A sweep cell reproduces a standalone run of the same scale exactly.
+  for (const auto& cell : result.report.cells) {
+    if (cell.nranks > 1) {
+      expect_reconciles(cell, standalone_report(app, cell.nranks));
+    }
   }
 
   // The 1-rank cell is the baseline of the series: speedup exactly 1,
@@ -339,29 +372,49 @@ TEST(Sweep, SiteTrendsAlignWithCells) {
   }
 }
 
+// Also on the example-sized sweeps (aerofoil on 1, 2, 4 and 8 ranks,
+// sprayer on 1, 2 and 4), where efficiency must never rise with the
+// rank count.
 TEST(Sweep, ClassifiesAndNamesCrossoverSite) {
-  const auto app = test_aerofoil();
-  SweepSpec spec;
-  spec.title = app.name;
-  spec.ranks = {1, 2, 4};
+  struct Case {
+    App app;
+    std::vector<int> ranks;
+    bool example_sized;
+  };
+  const Case cases[] = {{test_aerofoil(), {1, 2, 4}, false},
+                        {test_aerofoil(40, 20, 8), {1, 2, 4, 8}, true},
+                        {test_sprayer(64, 32), {1, 2, 4}, true}};
+  for (const auto& [app, ranks, example_sized] : cases) {
+    SCOPED_TRACE(app.name + " on " + std::to_string(ranks.back()));
+    SweepSpec spec;
+    spec.title = app.name;
+    spec.ranks = ranks;
 
-  const auto result = run_sweep(app.source, app.dirs, spec);
-  EXPECT_TRUE(result.report.classification == "comm-bound" ||
-              result.report.classification == "compute-bound");
-  if (result.report.crossover_nranks > 0) {
-    // A crossover names the site that dominates the bill there.
-    EXPECT_FALSE(result.report.crossover_site.empty());
-    EXPECT_FALSE(result.report.crossover_site_kind.empty());
-    bool found = false;
-    for (const auto& cell : result.report.cells) {
-      if (cell.nranks != result.report.crossover_nranks) continue;
-      EXPECT_GE(cell.comm_share, 0.5);
-      for (const auto& site : cell.sites) {
-        found = found || (site.label == result.report.crossover_site &&
-                          site.kind == result.report.crossover_site_kind);
+    const auto result = run_sweep(app.source, app.dirs, spec);
+    EXPECT_TRUE(result.report.classification == "comm-bound" ||
+                result.report.classification == "compute-bound");
+    if (result.report.crossover_nranks > 0) {
+      // A crossover names the site that dominates the bill there.
+      EXPECT_FALSE(result.report.crossover_site.empty());
+      EXPECT_FALSE(result.report.crossover_site_kind.empty());
+      bool found = false;
+      for (const auto& cell : result.report.cells) {
+        if (cell.nranks != result.report.crossover_nranks) continue;
+        EXPECT_GE(cell.comm_share, 0.5);
+        for (const auto& site : cell.sites) {
+          found = found || (site.label == result.report.crossover_site &&
+                            site.kind == result.report.crossover_site_kind);
+        }
+      }
+      EXPECT_TRUE(found);
+    }
+    if (example_sized) {
+      const auto& cells = result.report.cells;
+      for (std::size_t i = 1; i < cells.size(); ++i) {
+        EXPECT_LE(cells[i].efficiency, cells[i - 1].efficiency + 1e-12)
+            << cells[i].nranks << " ranks";
       }
     }
-    EXPECT_TRUE(found);
   }
 }
 

@@ -303,12 +303,17 @@ TEST(SpmdTrace, BreakdownMatchesClusterStats) {
       program->run(mp::MachineConfig::pentium_ethernet_1999(), &rec);
   const auto breakdown = rank_breakdown(rec.trace());
   ASSERT_EQ(breakdown.size(), result.cluster.ranks.size());
+  double slowest = 0.0;
   for (std::size_t r = 0; r < breakdown.size(); ++r) {
     EXPECT_NEAR(breakdown[r].compute, result.cluster.ranks[r].compute_time,
                 1e-9);
     EXPECT_NEAR(breakdown[r].transfer + breakdown[r].wait,
                 result.cluster.ranks[r].comm_time, 1e-9);
+    slowest = std::max(slowest, breakdown[r].total());
   }
+  // The slowest rank's compute + transfer + wait is the run's elapsed
+  // time.
+  EXPECT_NEAR(slowest, result.elapsed, 1e-9 * result.elapsed);
 }
 
 }  // namespace

@@ -111,11 +111,7 @@ inline autocfd::codegen::SpmdRunResult run_par(
 inline void record_metadata() {
   record("meta.schema_version", 1.0);
   record("meta.seed", 0.0);
-#ifdef NDEBUG
-  record_str("meta.build_type", "Release");
-#else
-  record_str("meta.build_type", "Debug");
-#endif
+  record_str("meta.build_type", autocfd::ledger::build_type_name());
   record_str("meta.engine", "bytecode");
   record_str("meta.machine", "pentium_ethernet_1999");
 }

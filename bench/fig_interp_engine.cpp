@@ -7,8 +7,7 @@
 // the tree-walker by at least 3x on host wall time (Release build),
 // since executed kernel throughput is what every table in the paper
 // reproduction ultimately measures. The binary exits nonzero when an
-// app diverges or the bytecode engine is not faster than the
-// tree-walker at all; the 3x target is reported, not enforced.
+// app diverges or the bytecode engine misses the 3x target.
 #include "bench_util.hpp"
 
 #include <chrono>
@@ -51,7 +50,7 @@ double wall_of_engine(const interp::ProgramImage& image,
 
 /// Runs `source` under both engines and reports wall times, speedup
 /// and bit-identity of the complete final environment. Returns false
-/// when the engines diverge or the bytecode engine is not faster.
+/// when the engines diverge or the bytecode engine is under 3x faster.
 bool compare_engines(const std::string& app, const std::string& source) {
   const auto tree = interp::run_sequential(source, interp::EngineKind::Tree);
   const auto byte_ =
@@ -85,9 +84,11 @@ bool compare_engines(const std::string& app, const std::string& source) {
   std::printf("%-10s %12.4f %12.4f %9.2fx  %s\n", app.c_str(), wall_tree,
               wall_byte, speedup, identical ? "bit-identical" : "DIVERGED");
   std::printf(
-      "%-10s kernels %lld, walks %lld, cache hits %lld, rejects %lld\n", "",
-      stats.kernels_compiled + stats.stmts_compiled, stats.walks_reduced,
-      stats.cache_hits, stats.compile_rejects);
+      "%-10s kernels %lld, walks %lld, strip loops %lld (%lld fallbacks), "
+      "cache hits %lld, rejects %lld\n",
+      "", stats.kernels_compiled + stats.stmts_compiled, stats.walks_reduced,
+      stats.strip_loops, stats.strip_fallbacks, stats.cache_hits,
+      stats.compile_rejects);
 
   bench_util::record(app + ".tree.wall_s", wall_tree);
   bench_util::record(app + ".bytecode.wall_s", wall_byte);
@@ -97,11 +98,15 @@ bool compare_engines(const std::string& app, const std::string& source) {
                      static_cast<double>(stats.kernels_compiled));
   bench_util::record(app + ".walks_reduced",
                      static_cast<double>(stats.walks_reduced));
+  bench_util::record(app + ".strip_loops",
+                     static_cast<double>(stats.strip_loops));
+  bench_util::record(app + ".strip_fallbacks",
+                     static_cast<double>(stats.strip_fallbacks));
   bench_util::record(app + ".cache_hits",
                      static_cast<double>(stats.cache_hits));
-  if (!identical || speedup <= 1.0) {
+  if (!identical || speedup < 3.0) {
     std::printf("FAIL: %s %s\n", app.c_str(),
-                identical ? "bytecode engine is not faster" : "diverged");
+                identical ? "bytecode engine is under 3x faster" : "diverged");
     return false;
   }
   return true;

@@ -1,6 +1,7 @@
 // Compiles Assign statements and DO-loop nests into flat register
 // programs (see bytecode.hpp for the execution model and the exact
 // equivalence contract with the tree-walker).
+#include <algorithm>
 #include <functional>
 #include <set>
 #include <unordered_map>
@@ -159,6 +160,35 @@ bool invariant_expr(const Expr& e, const std::set<int>& banned) {
   return true;
 }
 
+/// The expression part of the strip eligibility rule (bytecode.hpp):
+/// every array reference is a walk (whose subscripts run in the
+/// preheader, not the body), no short-circuit logicals, no intrinsic
+/// wider than the strip executor's argument buffer, and no read of a
+/// body-assigned scalar before the iteration has written it.
+bool strip_expr_ok(const Expr& e,
+                   const std::unordered_map<const Expr*, int>& walk_of,
+                   const std::set<int>& assigned,
+                   const std::set<int>& written) {
+  switch (e.kind) {
+    case ExprKind::ArrayRef:
+      return walk_of.count(&e) != 0;
+    case ExprKind::VarRef:
+      return assigned.count(e.slot) == 0 || written.count(e.slot) != 0;
+    case ExprKind::Binary:
+      if (e.bin_op == BinOp::And || e.bin_op == BinOp::Or) return false;
+      break;
+    case ExprKind::Intrinsic:
+      if (e.args.size() > 8) return false;
+      break;
+    default:
+      break;
+  }
+  for (const auto& a : e.args) {
+    if (!strip_expr_ok(*a, walk_of, assigned, written)) return false;
+  }
+  return true;
+}
+
 void for_each_array_ref(const Expr& e,
                         const std::function<void(const Expr&)>& fn) {
   if (e.kind == ExprKind::ArrayRef) fn(e);
@@ -190,6 +220,7 @@ class Compiler {
     }
     emit(Op::Halt);
     prog_->num_regs_ = nregs_;
+    prog_->lane_regs_ = lane_regs_;
     stats_->instrs_emitted += static_cast<long long>(prog_->code_.size());
     return std::move(prog_);
   }
@@ -433,14 +464,17 @@ class Compiler {
       emit(Op::Imm, r_step, 0, 0, 0, 1.0);
     }
     const int li = static_cast<int>(prog_->loops_.size());
-    prog_->loops_.push_back(LoopDesc{s.slot, 0, 0, {}});
+    LoopDesc desc;
+    desc.var_slot = s.slot;
+    prog_->loops_.push_back(std::move(desc));
     emit(Op::LoopBegin, li, r_lo, r_hi, r_step);
 
     // Loop preheader: invariant subscript values, then the hoisted
     // index setup of every walk. Skipped entirely on zero-trip loops.
-    std::set<int> banned;
+    std::set<int> assigned;
+    collect_assigned(s.body, assigned);
+    std::set<int> banned = assigned;
     banned.insert(s.slot);
-    collect_assigned(s.body, banned);
     std::vector<const Expr*> refs;
     collect_walks(s, li, banned, &refs);
     for (std::size_t r = 0; r < refs.size(); ++r) {
@@ -456,17 +490,65 @@ class Compiler {
       emit(Op::WalkInit, w);
     }
 
-    auto& ld = prog_->loops_[static_cast<std::size_t>(li)];
-    ld.body_pc = here();
+    const bool strip = strip_eligible(s, assigned);
+    if (strip) emit(Op::StripRun, li);
+    const int reg_lo = nregs_;
+    std::vector<LaneTemp> temps;
+    if (strip) {
+      for (const int slot : assigned) temps.push_back(LaneTemp{slot, alloc()});
+    }
+    prog_->loops_[static_cast<std::size_t>(li)].body_pc = here();
     for (const auto& st : s.body) emit_stmt(*st);
     emit(Op::LoopNext, li);
-    prog_->loops_[static_cast<std::size_t>(li)].exit_pc = here();
+    auto& ld = prog_->loops_[static_cast<std::size_t>(li)];
+    ld.exit_pc = here();
+    if (strip) finish_strip(ld, reg_lo, std::move(temps));
+  }
+
+  /// Compile-time half of the strip rule (see bytecode.hpp); `assigned`
+  /// holds every scalar the body assigns.
+  bool strip_eligible(const Stmt& s, const std::set<int>& assigned) const {
+    if (assigned.count(s.slot) != 0) return false;
+    std::set<int> written;
+    for (const auto& st : s.body) {
+      if (st->kind == StmtKind::Continue) continue;
+      if (st->kind != StmtKind::Assign) return false;
+      if (!strip_expr_ok(*st->rhs, walk_of_, assigned, written)) return false;
+      if (st->lhs->kind == ExprKind::VarRef) {
+        written.insert(st->lhs->slot);
+      } else if (walk_of_.count(st->lhs.get()) == 0) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Records the strip body's register range, lane temporaries and the
+  /// walk pairs StripRun must check for aliasing.
+  void finish_strip(LoopDesc& ld, int reg_lo, std::vector<LaneTemp> temps) {
+    ld.reg_lo = reg_lo;
+    ld.reg_hi = nregs_;
+    ld.temps = std::move(temps);
+    const auto& walks = prog_->walks_;
+    for (int pc = ld.body_pc; pc < ld.exit_pc; ++pc) {
+      const Instr& in = prog_->code_[static_cast<std::size_t>(pc)];
+      if (in.op != Op::StoreWalk) continue;
+      for (const int w : ld.walks) {
+        if (w != in.c && walks[static_cast<std::size_t>(w)].array_slot ==
+                             walks[static_cast<std::size_t>(in.c)].array_slot) {
+          ld.alias_pairs.emplace_back(in.c, w);
+        }
+      }
+    }
+    lane_regs_ = std::max(lane_regs_, ld.reg_hi - ld.reg_lo);
+    ++stats_->strip_loops;
   }
 
   const ProgramImage* image_;
   EngineStats* stats_;
   std::unique_ptr<Program> prog_;
   int nregs_ = 0;
+  int lane_regs_ = 0;
   std::unordered_map<const Expr*, int> walk_of_;
 };
 

@@ -1,6 +1,7 @@
 // Dispatch loop for compiled programs. Every operation here must stay
 // bit-identical to the tree-walker (see the header contract); the
 // scalar math is shared via eval_ops.hpp.
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -20,9 +21,203 @@ namespace {
       ", " + std::to_string(hi) + "]");
 }
 
+[[noreturn]] void throw_non_finite(const fortran::Stmt& s, double v) {
+  throw autocfd::CompileError("non-finite value (" + std::to_string(v) +
+                              ") assigned to array '" + s.lhs->name +
+                              "' at " + s.loc.str() +
+                              ": the computation diverged");
+}
+
+/// Elements a walk from `cur` by `stride` touches in `count` steps.
+struct Span {
+  long long lo, hi;
+};
+
+Span span_of(long long cur, long long stride, long long count) {
+  const long long end = cur + (count - 1) * stride;
+  return stride >= 0 ? Span{cur, end} : Span{end, cur};
+}
+
+/// True when two walks over `count` iterations never touch a common
+/// element. Exact for equal strides; otherwise their element ranges
+/// must not overlap.
+bool walks_disjoint(long long a, long long b, long long stride_a,
+                    long long stride_b, long long count) {
+  if (stride_a == stride_b && stride_a != 0) {
+    const long long diff = b - a;
+    return diff % stride_a != 0 || diff / stride_a >= count ||
+           diff / stride_a <= -count;
+  }
+  const Span sa = span_of(a, stride_a, count);
+  const Span sb = span_of(b, stride_b, count);
+  return sa.hi < sb.lo || sb.hi < sa.lo;
+}
+
 }  // namespace
 
-ExecSignal Program::execute(Env& env, double& flops) const {
+ExecSignal BytecodeEngine::run(const Program& p, Env& env, double& flops) {
+  ++stats_.kernel_runs;
+  const auto need = static_cast<std::size_t>(p.lane_regs_) *
+                    static_cast<std::size_t>(kStripWidth);
+  if (lanes_.size() < need) lanes_.resize(need, 0.0);
+  return p.execute(env, flops, lanes_, stats_);
+}
+
+bool Program::strips_are_safe(const LoopDesc& ld, const LoopState& ls) const {
+  const long long count = (ls.last - ls.v) / ls.step + 1;
+  for (const auto& [st, other] : ld.alias_pairs) {
+    const WalkState& a = walk_state_[static_cast<std::size_t>(st)];
+    const WalkState& b = walk_state_[static_cast<std::size_t>(other)];
+    // A zero stride revisits one element every iteration, carrying a
+    // value across iterations even between identical walks.
+    const bool identical =
+        a.cur == b.cur && a.stride == b.stride && a.stride != 0;
+    if (!identical &&
+        !walks_disjoint(a.cur, b.cur, a.stride, b.stride, count)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void Program::run_strips(const LoopDesc& ld, const LoopState& ls, Env& env,
+                         double& flops, double* lanes) const {
+  double* const scalars = env.scalars.data();
+  ArrayValue* const arrays = env.arrays.data();
+  const auto lane = [&](int reg) {
+    return lanes + static_cast<std::size_t>(reg - ld.reg_lo) * kStripWidth;
+  };
+  const auto temp_reg = [&](int slot) {
+    for (const LaneTemp& t : ld.temps) {
+      if (t.slot == slot) return t.reg;
+    }
+    return -1;
+  };
+  const long long count = (ls.last - ls.v) / ls.step + 1;
+  int n = 0;
+  for (long long t0 = 0; t0 < count; t0 += kStripWidth) {
+    n = static_cast<int>(std::min<long long>(kStripWidth, count - t0));
+    const fortran::Stmt* bad_stmt = nullptr;
+    double bad_value = 0.0;
+    for (int pc = ld.body_pc; pc < ld.exit_pc - 1; ++pc) {
+      const Instr& in = code_[static_cast<std::size_t>(pc)];
+      if (in.op == Op::AddFlops) {
+        flops += in.imm * n;
+        continue;
+      }
+      double* const r = lane(in.a);
+      const auto binary = [&](auto op) {
+        const double* const x = lane(in.b);
+        const double* const y = lane(in.c);
+        for (int k = 0; k < n; ++k) r[k] = op(x[k], y[k]);
+      };
+      switch (in.op) {
+        case Op::Imm:
+          std::fill(r, r + n, in.imm);
+          break;
+        case Op::LoadScalar:
+          if (in.b == ld.var_slot) {
+            const long long v0 = ls.v + t0 * ls.step;
+            for (int k = 0; k < n; ++k) {
+              r[k] = static_cast<double>(v0 + k * ls.step);
+            }
+          } else if (const int t = temp_reg(in.b); t >= 0) {
+            std::copy(lane(t), lane(t) + n, r);
+          } else {
+            std::fill(r, r + n, scalars[in.b]);
+          }
+          break;
+        case Op::StoreScalar:  // every scalar the body assigns is a temp
+          std::copy(r, r + n, lane(temp_reg(in.b)));
+          break;
+        case Op::LoadWalk:
+        case Op::StoreWalk: {
+          const WalkState& ws = walk_state_[static_cast<std::size_t>(in.c)];
+          double* const base =
+              arrays[in.b].data.data() + ws.cur + t0 * ws.stride;
+          if (in.op == Op::LoadWalk) {
+            for (int k = 0; k < n; ++k) r[k] = base[k * ws.stride];
+          } else {
+            for (int k = 0; k < n; ++k) base[k * ws.stride] = r[k];
+          }
+          break;
+        }
+        case Op::CheckFinite:
+          for (int k = 0; k < n; ++k) {
+            if (!std::isfinite(r[k])) {
+              bad_stmt = stmts_[static_cast<std::size_t>(in.b)];
+              bad_value = r[k];
+              n = k;
+            }
+          }
+          break;
+        case Op::Neg: {
+          const double* const x = lane(in.b);
+          for (int k = 0; k < n; ++k) r[k] = -x[k];
+          break;
+        }
+        case Op::Not: {
+          const double* const x = lane(in.b);
+          for (int k = 0; k < n; ++k) r[k] = x[k] != 0.0 ? 0.0 : 1.0;
+          break;
+        }
+        case Op::Add:
+          binary([](double x, double y) { return x + y; });
+          break;
+        case Op::Sub:
+          binary([](double x, double y) { return x - y; });
+          break;
+        case Op::Mul:
+          binary([](double x, double y) { return x * y; });
+          break;
+        case Op::Div:
+          binary([](double x, double y) { return x / y; });
+          break;
+        case Op::Pow:
+          binary([](double x, double y) { return eval_pow(x, y); });
+          break;
+        case Op::Lt:
+          binary([](double x, double y) { return x < y ? 1.0 : 0.0; });
+          break;
+        case Op::Le:
+          binary([](double x, double y) { return x <= y ? 1.0 : 0.0; });
+          break;
+        case Op::Gt:
+          binary([](double x, double y) { return x > y ? 1.0 : 0.0; });
+          break;
+        case Op::Ge:
+          binary([](double x, double y) { return x >= y ? 1.0 : 0.0; });
+          break;
+        case Op::CmpEq:
+          binary([](double x, double y) { return x == y ? 1.0 : 0.0; });
+          break;
+        case Op::CmpNe:
+          binary([](double x, double y) { return x != y ? 1.0 : 0.0; });
+          break;
+        case Op::Intrin: {
+          double args[8] = {};
+          for (int k = 0; k < n; ++k) {
+            for (int j = 0; j < in.d; ++j) args[j] = lane(in.c + j)[k];
+            r[k] = apply_intrinsic(static_cast<Intrinsic>(in.b), args,
+                                   static_cast<std::size_t>(in.d));
+          }
+          break;
+        }
+        default:  // excluded by the compile-time strip rule
+          throw autocfd::CompileError("bytecode: op not valid in a strip body");
+      }
+    }
+    if (bad_stmt != nullptr) throw_non_finite(*bad_stmt, bad_value);
+  }
+  for (const LaneTemp& t : ld.temps) {
+    scalars[t.slot] = lane(t.reg)[n - 1];
+  }
+  scalars[ld.var_slot] = static_cast<double>(ls.last);
+}
+
+ExecSignal Program::execute(Env& env, double& flops,
+                            std::vector<double>& lanes,
+                            EngineStats& stats) const {
   if (regs_.size() < static_cast<std::size_t>(num_regs_)) {
     regs_.resize(static_cast<std::size_t>(num_regs_), 0.0);
   }
@@ -85,11 +280,7 @@ ExecSignal Program::execute(Env& env, double& flops) const {
       case Op::CheckFinite: {
         const double v = regs[in.a];
         if (!std::isfinite(v)) {
-          const fortran::Stmt& s = *stmts_[static_cast<std::size_t>(in.b)];
-          throw autocfd::CompileError(
-              "non-finite value (" + std::to_string(v) +
-              ") assigned to array '" + s.lhs->name + "' at " + s.loc.str() +
-              ": the computation diverged");
+          throw_non_finite(*stmts_[static_cast<std::size_t>(in.b)], v);
         }
         ++pc;
         break;
@@ -247,6 +438,18 @@ ExecSignal Program::execute(Env& env, double& flops) const {
         }
         walk_state_[static_cast<std::size_t>(in.a)] = WalkState{idx, stride};
         ++pc;
+        break;
+      }
+      case Op::StripRun: {
+        const LoopDesc& ld = loops_[static_cast<std::size_t>(in.a)];
+        const LoopState& ls = loop_state_[static_cast<std::size_t>(in.a)];
+        if (!strips_are_safe(ld, ls)) {
+          ++stats.strip_fallbacks;
+          ++pc;  // the per-element body
+          break;
+        }
+        run_strips(ld, ls, env, flops, lanes.data());
+        pc = static_cast<std::size_t>(ld.exit_pc);
         break;
       }
       case Op::Ret:

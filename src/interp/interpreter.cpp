@@ -210,8 +210,7 @@ Interpreter::Signal Interpreter::exec_stmt_impl(const Stmt& s, Env& env) {
     case StmtKind::Assign:
       if (bc_) {
         if (const auto* prog = bc_->compiled(s)) {
-          ++bc_->mutable_stats().kernel_runs;
-          prog->execute(env, flops_);  // a lone Assign always halts Normal
+          bc_->run(*prog, env, flops_);  // a lone Assign always halts Normal
           return Signal::Normal;
         }
       }
@@ -220,8 +219,7 @@ Interpreter::Signal Interpreter::exec_stmt_impl(const Stmt& s, Env& env) {
     case StmtKind::Do:
       if (bc_) {
         if (const auto* prog = bc_->compiled(s)) {
-          ++bc_->mutable_stats().kernel_runs;
-          switch (prog->execute(env, flops_)) {
+          switch (bc_->run(*prog, env, flops_)) {
             case bytecode::ExecSignal::Normal: return Signal::Normal;
             case bytecode::ExecSignal::Return: return Signal::Return;
             case bytecode::ExecSignal::Stop: return Signal::Stop;

@@ -93,14 +93,12 @@ std::optional<std::string> append_record(const std::string& path,
 /// they measured.
 [[nodiscard]] std::string source_fingerprint(std::string_view source);
 
-/// "Release" or "Debug", from NDEBUG — inline so every translation
-/// unit reports its own build flavor, matching bench_util's sidecars.
+/// The configured CMake build type ("Release", "RelWithDebInfo",
+/// "Debug", ...), which the ledger target passes to every consumer as
+/// AUTOCFD_BUILD_TYPE. NDEBUG cannot tell Release from RelWithDebInfo,
+/// a pair perf_sentinel's identity guard must refuse to compare.
 [[nodiscard]] inline std::string build_type_name() {
-#ifdef NDEBUG
-  return "Release";
-#else
-  return "Debug";
-#endif
+  return AUTOCFD_BUILD_TYPE;
 }
 
 }  // namespace autocfd::ledger

@@ -1,5 +1,6 @@
 // Bytecode engine: kernel cache behavior, strength reduction, hoisted
-// bounds checks, and the contiguous halo-packing fast path.
+// bounds checks, strip execution, and the contiguous halo-packing fast
+// path.
 //
 // Bit-identity of whole programs across engines is covered by the
 // randomized sweep in test_random_equivalence.cpp; this file tests the
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "autocfd/codegen/spmd_runtime.hpp"
 #include "autocfd/fortran/parser.hpp"
@@ -222,6 +224,226 @@ TEST(Bytecode, ZeroStepReportsTheSameMessageAsTheTree) {
     } catch (const CompileError& e) {
       EXPECT_STREQ(e.what(), "do loop with zero step");
     }
+  }
+}
+
+// --- Strip execution ---------------------------------------------------------
+
+/// Error message (empty when the run completes) and engine counters of
+/// one run that may throw.
+struct Outcome {
+  std::string error;
+  bytecode::EngineStats stats;
+};
+
+Outcome run_outcome(const std::string& source, EngineKind engine) {
+  auto file = fortran::parse_source(source);
+  DiagnosticEngine diags;
+  auto image = ProgramImage::build(file, diags);
+  throw_if_errors(diags, "image build");
+  Env env(image);
+  env.allocate_arrays(image, diags);
+  throw_if_errors(diags, "array allocation");
+  Interpreter interp(image, {}, engine);
+  Outcome out;
+  try {
+    interp.run(env);
+  } catch (const CompileError& e) {
+    out.error = e.what();
+  }
+  out.stats = interp.engine_stats();
+  return out;
+}
+
+TEST(BytecodeStrip, KilledTemporaryAndDoVariableSurviveTheLoop) {
+  // t is written before it is read in every iteration, so it becomes a
+  // lane temporary; its last value and i's final value are read after
+  // the loop.
+  const auto r = run_both(
+      "program t\n"
+      "parameter (n = 100)\n"
+      "real a(n), b(n)\n"
+      "integer i\n"
+      "real t, last\n"
+      "do i = 1, n\n"
+      "  a(i) = 0.5 * i\n"
+      "end do\n"
+      "do i = 2, n - 1\n"
+      "  t = a(i - 1) + a(i + 1)\n"
+      "  b(i) = t * 0.5 - a(i)\n"
+      "  t = t * 3.0\n"
+      "end do\n"
+      "last = i + t\n"
+      "end\n");
+  EXPECT_EQ(r->stats.strip_loops, 2);
+  EXPECT_EQ(r->stats.strip_fallbacks, 0);
+}
+
+TEST(BytecodeStrip, ShiftedSelfReadFallsBack) {
+  // a(i-1) is a(i) of the previous iteration: running a(i)'s statement
+  // across a strip would read stale values.
+  const auto r = run_both(
+      "program t\n"
+      "parameter (n = 100)\n"
+      "real a(n), b(n)\n"
+      "integer i\n"
+      "do i = 1, n\n"
+      "  a(i) = 1.0\n"
+      "  b(i) = 0.01 * i\n"
+      "end do\n"
+      "do i = 2, n\n"
+      "  a(i) = a(i - 1) + b(i)\n"
+      "end do\n"
+      "end\n");
+  EXPECT_EQ(r->stats.strip_loops, 2);
+  EXPECT_EQ(r->stats.strip_fallbacks, 1);
+}
+
+TEST(BytecodeStrip, BackwardSweepWithForwardReadFallsBack) {
+  const auto r = run_both(
+      "program t\n"
+      "parameter (n = 90)\n"
+      "real a(n)\n"
+      "integer i\n"
+      "do i = 1, n\n"
+      "  a(i) = 0.1 * i\n"
+      "end do\n"
+      "do i = n - 1, 1, -1\n"
+      "  a(i) = 0.5 * a(i + 1) + 1.0\n"
+      "end do\n"
+      "end\n");
+  EXPECT_EQ(r->stats.strip_fallbacks, 1);
+}
+
+TEST(BytecodeStrip, StrideZeroAccumulatorFallsBack) {
+  // s(1) = s(1) + ... is the same element in every iteration: its load
+  // and store walks are identical, but a zero stride carries the value
+  // across iterations, so the identical-walk exemption must not apply.
+  // A lone zero-stride store (s(2)) keeps the strip path: lanes store
+  // in order, so the last iteration's value wins, as per element.
+  const auto r = run_both(
+      "program t\n"
+      "parameter (n = 70)\n"
+      "real a(n), s(2)\n"
+      "integer i\n"
+      "do i = 1, n\n"
+      "  a(i) = 0.3 * i\n"
+      "end do\n"
+      "s(1) = 0.0\n"
+      "do i = 1, n\n"
+      "  s(1) = s(1) + a(i)\n"
+      "end do\n"
+      "do i = 1, n\n"
+      "  s(2) = a(i) * 2.0\n"
+      "end do\n"
+      "end\n");
+  EXPECT_EQ(r->stats.strip_loops, 3);
+  EXPECT_EQ(r->stats.strip_fallbacks, 1);
+}
+
+TEST(BytecodeStrip, LoopCarriedScalarStaysPerElement) {
+  const auto r = run_both(
+      "program t\n"
+      "parameter (n = 70)\n"
+      "real a(n)\n"
+      "integer i\n"
+      "real s\n"
+      "do i = 1, n\n"
+      "  a(i) = 0.3 * i\n"
+      "end do\n"
+      "s = 0.0\n"
+      "do i = 1, n\n"
+      "  s = s + a(i)\n"
+      "end do\n"
+      "end\n");
+  EXPECT_EQ(r->stats.strip_loops, 1);  // only the initialization loop
+  EXPECT_EQ(r->stats.strip_fallbacks, 0);
+}
+
+TEST(BytecodeStrip, TripCountsAndStepsAroundTheStripWidth) {
+  for (const long long count : {1LL, 63LL, 64LL, 65LL, 129LL}) {
+    for (const long long step : {1LL, -1LL, 2LL, -3LL}) {
+      const long long span = (count - 1) * (step > 0 ? step : -step);
+      const long long lo = step > 0 ? 2 : 2 + span;
+      const long long hi = step > 0 ? 2 + span : 2;
+      const std::string source =
+          "program t\n"
+          "parameter (n = 400)\n"
+          "real a(n), b(n), c(n, 2)\n"
+          "integer i\n"
+          "real t\n"
+          "do i = 1, n\n"
+          "  b(i) = 0.25 * i\n"
+          "end do\n"
+          "do i = " + std::to_string(lo) + ", " + std::to_string(hi) + ", " +
+          std::to_string(step) + "\n"
+          "  t = b(i + 1) - b(i - 1)\n"
+          "  a(i) = t * i + b(i)\n"
+          "  c(i, 2) = a(i) - t\n"
+          "end do\n"
+          "end\n";
+      SCOPED_TRACE("count " + std::to_string(count) + " step " +
+                   std::to_string(step));
+      const auto r = run_both(source);
+      EXPECT_EQ(r->stats.strip_loops, 2);
+      EXPECT_EQ(r->stats.strip_fallbacks, 0);
+    }
+  }
+}
+
+TEST(BytecodeStrip, IntrinsicsPowersAndComparisonsInAStrip) {
+  const auto r = run_both(
+      "program t\n"
+      "parameter (n = 150)\n"
+      "real b(n), c(n), d(n)\n"
+      "integer i\n"
+      "do i = 1, n\n"
+      "  b(i) = 0.07 * i - 3.0\n"
+      "end do\n"
+      "do i = 1, n\n"
+      "  c(i) = sqrt(abs(b(i))) + max(b(i), 2.0, 0.01 * i) + "
+      "min(b(i), -1.0)\n"
+      "  c(i) = c(i) + mod(b(i), 0.7) + sign(1.5, b(i)) + "
+      "atan2(b(i), 2.0)\n"
+      "  c(i) = c(i) + exp(0.01 * b(i)) + int(b(i)) + nint(b(i)) + "
+      "cos(b(i))\n"
+      "  d(i) = b(i) ** 2 + abs(b(i)) ** 2.5 + (-b(i)) ** 3 + 2.0 ** i\n"
+      "  d(i) = d(i) + (b(i) .gt. 0.5) - (b(i) .le. -1.0) + "
+      "(i .eq. 7) + (i .ne. 9)\n"
+      "  d(i) = d(i) + (b(i) .lt. 1.0) + (b(i) .ge. 2.0) + "
+      "(.not. (i .gt. 60))\n"
+      "end do\n"
+      "end\n");
+  EXPECT_EQ(r->stats.strip_loops, 2);
+  EXPECT_EQ(r->stats.strip_fallbacks, 0);
+}
+
+TEST(BytecodeStrip, NonFiniteStoresReportTheFirstFailureInExecutionOrder) {
+  // Two statements diverge at different iterations (some in the first
+  // strip, some in the second, one on a strip's first lane): the
+  // message must name the first (iteration, statement) the tree-walker
+  // reaches, not the first statement the strip checks.
+  const int pairs[][2] = {{50, 30}, {30, 50}, {40, 40}, {100, 120},
+                          {120, 65}, {65, 66}, {1, 2}, {2, 1}};
+  for (const auto& [first, second] : pairs) {
+    const std::string source =
+        "program t\n"
+        "parameter (n = 150)\n"
+        "real a(n), b(n)\n"
+        "integer i\n"
+        "do i = 1, n\n"
+        "  a(i) = 1.0 / (i - " + std::to_string(first) + ")\n"
+        "  b(i) = -1.0 / (i - " + std::to_string(second) + ")\n"
+        "end do\n"
+        "end\n";
+    SCOPED_TRACE("a fails at " + std::to_string(first) + ", b at " +
+                 std::to_string(second));
+    const auto tree = run_outcome(source, EngineKind::Tree);
+    const auto byte_ = run_outcome(source, EngineKind::Bytecode);
+    EXPECT_NE(tree.error.find("non-finite"), std::string::npos);
+    EXPECT_EQ(tree.error, byte_.error);
+    EXPECT_EQ(byte_.stats.strip_loops, 1);
+    EXPECT_EQ(byte_.stats.strip_fallbacks, 0);
   }
 }
 

@@ -405,6 +405,20 @@ TEST(RecordBuilders, LiftsSidecarMetaIntoIdentity) {
   EXPECT_FALSE(rec.metrics.count("meta.seed"));
 }
 
+TEST(RecordBuilders, StampsTheConfiguredBuildType) {
+  // The stamp is the configured CMake build type, not an NDEBUG guess:
+  // a RelWithDebInfo build must not pass for Release, or perf_sentinel's
+  // identity guard could not refuse such a pair. The expected value
+  // comes from CMAKE_BUILD_TYPE through a separate definition.
+  EXPECT_EQ(build_type_name(), AUTOCFD_TEST_BUILD_TYPE);
+  EXPECT_EQ(record_from_sidecar("fig_x", {}, {}).build_type,
+            AUTOCFD_TEST_BUILD_TYPE);
+  RunMeta meta;
+  meta.kind = "run";
+  EXPECT_EQ(make_run_record(meta, nullptr, nullptr).build_type,
+            AUTOCFD_TEST_BUILD_TYPE);
+}
+
 TEST(RecordBuilders, ReadsASidecarFileAndStripsThePrefix) {
   const std::string path = temp_path("BENCH_fig_demo.json");
   {
